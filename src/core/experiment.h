@@ -188,10 +188,6 @@ struct RunConfig {
   /// committed record sequence is identical either way, so hashes,
   /// goldens and checker verdicts never depend on it.
   sim::TraceMode traceMode;
-  /// Intra-run execution kernel (serial by default).  Parallel kernels
-  /// are bit-identical to serial — same traces, stats and RNG draws at
-  /// any worker count — so this is purely a wall-clock knob.
-  sim::KernelSpec kernel;
   /// Physical MAC realization (abstract by default).  A non-abstract
   /// realization replaces the scheduler axis — phys::PhysScheduler
   /// derives delivery/ack timing from simulated contention instead of

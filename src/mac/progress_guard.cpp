@@ -7,25 +7,9 @@
 
 namespace ammb::mac {
 
-namespace {
-
-/// A closed integer interval [lo, hi]; hi == kTimeNever means +infinity.
-struct Interval {
-  Time lo;
-  Time hi;
-};
-
-void sortByLo(std::vector<Interval>& xs) {
+void ProgressGuard::normalize(std::vector<Interval>& xs) {
   std::sort(xs.begin(), xs.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-}
-
-/// Sorts and merges overlapping/adjacent intervals in place.  Dense
-/// neighborhoods (stars, cliques) produce many near-identical need
-/// intervals; merging keeps the cover scan linear instead of
-/// quadratic.
-void normalize(std::vector<Interval>& xs) {
-  sortByLo(xs);
   std::size_t out = 0;
   for (const Interval& x : xs) {
     if (out > 0 && x.lo <= xs[out - 1].hi + 1) {
@@ -36,8 +20,6 @@ void normalize(std::vector<Interval>& xs) {
   }
   xs.resize(out);
 }
-
-}  // namespace
 
 ProgressGuard::ProgressGuard(MacEngine& engine, NodeId n)
     : engine_(engine), states_(static_cast<std::size_t>(n)) {}
@@ -54,7 +36,7 @@ void ProgressGuard::onReceive(NodeId receiver, InstanceId instance, Time at) {
     // interval scan.  pruneCovers runs as recompute() would have, so
     // the covers vector evolves identically on both paths.
     pruneCovers(receiver);
-    commit(receiver, kTimeNever);
+    states_[static_cast<std::size_t>(receiver)].standDown();
     return;
   }
   // Terminated instance (epsAbort grace delivery): the cover is capped
@@ -62,7 +44,7 @@ void ProgressGuard::onReceive(NodeId receiver, InstanceId instance, Time at) {
   recompute(receiver);
 }
 
-Time ProgressGuard::earliestUncovered(NodeId receiver) const {
+Time ProgressGuard::earliestUncovered(NodeId receiver) {
   const Time fprog = engine_.params().fprog;
 
   // Need set: window starts demanded by live instances of G-neighbors.
@@ -70,13 +52,7 @@ Time ProgressGuard::earliestUncovered(NodeId receiver) const {
   // appeared (or reappeared) after the bcast only obliges the model
   // from the epoch it came up, and one that is down right now obliges
   // nothing (the offline checker applies the same rule per span).
-  //
-  // thread_local scratch: evaluate() is the hot inner loop (once per
-  // G-neighbor per broadcast) and runs concurrently on kernel workers,
-  // so the scratch is per-thread rather than per-guard.  The set is
-  // rebuilt from scratch each call; only the capacity persists, which
-  // is unobservable in results.
-  thread_local std::vector<Interval> need;
+  std::vector<Interval>& need = need_;
   need.clear();
   for (InstanceId id : engine_.liveInstancesNear(receiver)) {
     const Instance& inst = engine_.instance(id);
@@ -111,25 +87,12 @@ Time ProgressGuard::earliestUncovered(NodeId receiver) const {
   return kTimeNever;
 }
 
-Time ProgressGuard::evaluate(NodeId receiver) {
-  pruneCovers(receiver);
-  return earliestUncovered(receiver);
-}
-
 void ProgressGuard::recompute(NodeId receiver) {
-  commit(receiver, evaluate(receiver));
-}
-
-void ProgressGuard::commit(NodeId receiver, Time t) {
+  pruneCovers(receiver);
+  const Time t = earliestUncovered(receiver);
   State& st = states_[static_cast<std::size_t>(receiver)];
   if (t == kTimeNever) {
-    if (st.armedEvent != 0) {
-      // No obligation left; stand down.
-      st.armedDeadline = kTimeNever;
-      // Cancellation may fail if the event is mid-flight; onDeadline
-      // re-validates, so that is harmless.
-      st.armedEvent = 0;
-    }
+    st.standDown();
     return;
   }
   const Time deadline = t + engine_.params().fprog;
@@ -146,8 +109,7 @@ void ProgressGuard::commit(NodeId receiver, Time t) {
 
 void ProgressGuard::onDeadline(NodeId receiver) {
   State& st = states_[static_cast<std::size_t>(receiver)];
-  st.armedEvent = 0;
-  st.armedDeadline = kTimeNever;
+  st.standDown();
   const Time t = earliestUncovered(receiver);
   if (t == kTimeNever) return;  // obligation satisfied meanwhile
   const Time deadline = t + engine_.params().fprog;

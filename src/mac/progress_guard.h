@@ -42,24 +42,9 @@ class ProgressGuard {
   void onReceive(NodeId receiver, InstanceId instance, Time at);
 
   /// Re-evaluates the deadline for `receiver` (called after instance
-  /// birth, termination, or a receive affecting `receiver`).
-  /// Equivalent to commit(receiver, evaluate(receiver)).
+  /// birth, termination, or a receive affecting `receiver`): prunes
+  /// its dead covers, then arms, re-arms or stands down its deadline.
   void recompute(NodeId receiver);
-
-  /// The read half of recompute(): prunes `receiver`'s dead covers and
-  /// returns its earliest uncovered window start (kTimeNever if none).
-  /// Touches only receiver-local guard state plus engine state that no
-  /// commit mutates, so evaluations for *distinct* receivers may run
-  /// concurrently — this is the surface MacEngine's batched guard
-  /// passes fan out over the parallel kernel.
-  Time evaluate(NodeId receiver);
-
-  /// The write half: arms / re-arms / stands down `receiver`'s
-  /// deadline for an evaluate() result.  Schedules queue events, so it
-  /// must run on the event thread, in the same receiver order the
-  /// serial recompute loop would use — that order is what keeps event
-  /// insertion sequences (and hence traces) bit-identical.
-  void commit(NodeId receiver, Time earliestUncovered);
 
  private:
   struct Cover {
@@ -70,10 +55,29 @@ class ProgressGuard {
     std::vector<Cover> covers;
     sim::EventHandle armedEvent = 0;
     Time armedDeadline = kTimeNever;
+
+    /// Drops the armed deadline (no obligation left).  Cancellation is
+    /// skipped: the event may be mid-flight, and onDeadline
+    /// re-validates, so a stale firing is harmless.
+    void standDown() {
+      armedEvent = 0;
+      armedDeadline = kTimeNever;
+    }
+  };
+  /// A closed integer interval [lo, hi]; hi == kTimeNever means +inf.
+  struct Interval {
+    Time lo;
+    Time hi;
   };
 
+  /// Sorts and merges overlapping/adjacent intervals in place.  Dense
+  /// neighborhoods (stars, cliques) produce many near-identical need
+  /// intervals; merging keeps the cover scan linear instead of
+  /// quadratic.
+  static void normalize(std::vector<Interval>& xs);
+
   /// Earliest uncovered window start in the need set, or kTimeNever.
-  Time earliestUncovered(NodeId receiver) const;
+  Time earliestUncovered(NodeId receiver);
 
   /// Fires when an armed deadline is reached.
   void onDeadline(NodeId receiver);
@@ -83,6 +87,9 @@ class ProgressGuard {
 
   MacEngine& engine_;
   std::vector<State> states_;
+  /// Scratch for earliestUncovered's need set: rebuilt on every call,
+  /// only its capacity persists (unobservable in results).
+  std::vector<Interval> need_;
 };
 
 }  // namespace ammb::mac

@@ -13,7 +13,7 @@
 // implementation; only core::Experiment reaches into phys/ to
 // instantiate the simulator.
 //
-// Like sim::KernelSpec, the realization is value-semantic with a
+// Like core::ExecutionBackend, the realization is value-semantic with a
 // canonical label() / fromLabel() spelling shared by the sweep-spec
 // codec (the "mac" key), the run-record codec, the `ammb_sweep --mac`
 // flag and the fuzzer's case descriptions.

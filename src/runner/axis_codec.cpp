@@ -8,7 +8,7 @@ std::vector<std::string> getKernel(const SpecDoc& doc) {
   return {doc.kernel.label()};
 }
 void setKernel(SpecDoc& doc, const std::string& label, bool) {
-  doc.kernel = sim::KernelSpec::fromLabel(label);
+  doc.kernel = KernelTag::fromLabel(label);
 }
 
 std::vector<std::string> getRealization(const SpecDoc& doc) {
@@ -47,10 +47,10 @@ void setTraceMode(SpecDoc& doc, const std::string& label, bool) {
 
 constexpr std::array<AxisCodec, 5> makeTable() {
   return {{
-      // kernel: pure wall-clock knob, bit-identical results; the only
-      // axis whose override may apply after fingerprinting and whose
-      // record key is written even at the default (it predates
-      // elision; changing that would churn every journal and shard).
+      // kernel: a one-value tag ("serial"); any other label is an
+      // error.  The only axis whose record key is written even at the
+      // default (it predates elision; changing that would churn every
+      // journal and shard).
       {"kernel", "kernel", "--kernel", "kernel", "serial",
        /*resultBearing=*/false, /*recordElided=*/false, /*multi=*/false,
        getKernel, setKernel, &RunRecord::kernel},
@@ -66,10 +66,10 @@ constexpr std::array<AxisCodec, 5> makeTable() {
       {"backend", "backend", "--backend", "backend", "sim",
        /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/false,
        getBackend, setBackend, &RunRecord::backend},
-      // trace: a pure storage knob like the kernel — the committed
-      // record sequence (and every hash/verdict derived from it) is
-      // identical across backends, so the override applies after
-      // fingerprinting and the keys elide at "mem".
+      // trace: a pure storage knob — the committed record sequence
+      // (and every hash/verdict derived from it) is identical across
+      // backends, so the override applies after fingerprinting and the
+      // keys elide at "mem".
       {"trace", "trace_mode", "--trace-mode", "trace_mode", "mem",
        /*resultBearing=*/false, /*recordElided=*/true, /*multi=*/false,
        getTraceMode, setTraceMode, &RunRecord::traceMode},

@@ -1,6 +1,6 @@
 // The tagged-label axis table.
 //
-// Four execution axes share the same tagged-label shape — a value type
+// Five execution axes share the same tagged-label shape — a value type
 // with a canonical label()/fromLabel() round-trip, a default whose
 // label is elided from canonical serializations, a spec-file key, an
 // `ammb_sweep run` override flag, and (for the per-run ones) a
@@ -25,7 +25,9 @@
 //     overrides (mac, reaction, backend) are applied to the SpecDoc
 //     BEFORE the spec fingerprint is taken, so an overridden campaign
 //     can never merge/resume against the base spec's shards.  The
-//     kernel is bit-identical by contract and applies after.
+//     trace mode is a pure storage knob and applies after; the kernel
+//     has the single value "serial", so its override either leaves the
+//     document unchanged or fails.
 //   * recordElided — whether the record key is omitted at the default
 //     label.  "kernel" predates elision and is always written; the
 //     newer keys elide so every record file written before they

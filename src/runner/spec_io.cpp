@@ -470,7 +470,7 @@ SpecDoc parseSpec(const std::string& jsonText) {
                  "spec.dynamics must not be an empty array");
   }
   // The tagged-label execution axes (kernel / mac / reactions /
-  // backend) all parse through the axis table: one optional key each,
+  // backend / trace_mode) all parse through the axis table: one optional key each,
   // defaulting, with errors naming the full key path.
   for (const AxisCodec& codec : axisCodecs()) {
     if (codec.multi) {
@@ -683,10 +683,10 @@ std::string writeSpec(const SpecDoc& doc) {
   root.emplace_back("discipline", toString(doc.discipline));
   root.emplace_back("lower_bound_line_length", doc.lowerBoundLineLength);
   // Emitted only when non-default, so every existing spec's canonical
-  // serialization (and fingerprint) is stable.  The kernel is a pure
-  // wall-clock knob; "mac" and "backend" change results, so when
-  // present they *are* part of the fingerprint.
-  emitSpecAxis(root, doc, axisCodec("kernel"));
+  // serialization (and fingerprint) is stable.  "kernel" only ever
+  // holds its default, so it is never written; "mac" and "backend"
+  // change results, so when present they *are* part of the
+  // fingerprint.
   emitSpecAxis(root, doc, axisCodec("mac"));
   emitSpecAxis(root, doc, axisCodec("backend"));
   emitSpecAxis(root, doc, axisCodec("trace"));

@@ -6,6 +6,13 @@
 
 namespace ammb::runner {
 
+KernelTag KernelTag::fromLabel(const std::string& label) {
+  if (label == "serial") return {};
+  throw Error("unknown kernel \"" + label +
+              "\": the parallel kernel was removed; only \"serial\" is "
+              "accepted");
+}
+
 std::string toString(CheckMode mode) {
   switch (mode) {
     case CheckMode::kOff: return "off";
@@ -152,7 +159,6 @@ core::RunConfig runConfigFor(const SweepSpec& spec, const RunPoint& point) {
   config.limits.stopOnSolve = spec.stopOnSolve;
   config.limits.maxTime = spec.maxTime;
   config.limits.maxEvents = spec.maxEvents;
-  config.kernel = spec.kernel;
   config.traceMode = spec.traceMode;
   config.realization = spec.realization;
   config.backend = spec.backend;

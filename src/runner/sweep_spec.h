@@ -27,6 +27,19 @@
 
 namespace ammb::runner {
 
+/// The "kernel" axis as a one-value tag.  Every run executes on the
+/// serial engine; the tag keeps the axis's spellings (the spec key,
+/// `ammb_sweep run --kernel`, the "kernel" record key) so existing
+/// spec files, journals and shards stay valid.  label() is always
+/// "serial".
+struct KernelTag {
+  std::string label() const { return "serial"; }
+  /// Accepts only "serial"; any other spelling (the parallel kernel's
+  /// "parallel" / "parallel:N" included) throws ammb::Error saying the
+  /// parallel kernel was removed.
+  static KernelTag fromLabel(const std::string& label);
+};
+
 /// Named topology generator.  `make(seed)` must be a pure function of
 /// the seed so re-running a point reproduces its network.
 struct TopologySpec {
@@ -98,9 +111,9 @@ struct SweepSpec {
   std::vector<DynamicsSpecNamed> dynamics = {DynamicsSpecNamed{}};
   /// Churn-reaction axis (innermost, inside dynamics); defaults to one
   /// reaction-free point, so classic sweeps keep their exact grid.
-  /// Unlike the kernel, a reaction *changes results* (the protocol
-  /// re-arms after recoveries), so it is part of the spec's canonical
-  /// form and fingerprint whenever non-default.
+  /// A reaction *changes results* (the protocol re-arms after
+  /// recoveries), so it is part of the spec's canonical form and
+  /// fingerprint whenever non-default.
   std::vector<core::ReactionSpec> reactions = {core::ReactionSpec{}};
 
   /// Seed range [seedBegin, seedEnd): one run per seed per cell.
@@ -124,19 +137,17 @@ struct SweepSpec {
   int lowerBoundLineLength = 0;
   /// Required iff protocol == kFmmb (rejected otherwise).
   FmmbParamsFactory fmmbParams;
-  /// Intra-run execution kernel for every run of the sweep.  Parallel
-  /// kernels are bit-identical to serial, so results (and the sweep's
-  /// fingerprint, which covers only the grid) do not depend on this.
-  sim::KernelSpec kernel;
+  /// Execution-kernel provenance tag (always "serial").
+  KernelTag kernel;
   /// Trace storage backend for every run of the sweep ("mem" default;
   /// "spool[:bufRecords]" spools records to disk and replays them
-  /// through the streaming oracles).  Pure storage knob like the
-  /// kernel: the committed record sequence — and with it every hash,
-  /// verdict and fitted bound — is identical either way, so it is NOT
-  /// part of the canonical form or fingerprint.
+  /// through the streaming oracles).  A pure storage knob: the
+  /// committed record sequence — and with it every hash, verdict and
+  /// fitted bound — is identical either way, so it is NOT part of the
+  /// canonical form or fingerprint.
   sim::TraceMode traceMode;
   /// Physical MAC realization for every run of the sweep (abstract by
-  /// default).  Unlike the kernel this *changes results* — a CSMA
+  /// default).  Unlike the trace mode this *changes results* — a CSMA
   /// realization replaces the scheduler axis with simulated contention
   /// — so it is part of the spec's canonical form and fingerprint.
   mac::MacRealization realization;

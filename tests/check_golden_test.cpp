@@ -41,6 +41,32 @@ TEST(GoldenTraces, SuiteMatchesCheckedInSnapshots) {
   }
 }
 
+// Running the suite back to front reproduces every case exactly: no
+// engine, guard or protocol state leaks from one execution into the
+// next one in the same process.
+TEST(GoldenTraces, SuiteReplaysIdenticallyInReverseOrder) {
+  const std::vector<GoldenCase> suite = goldenCaseSuite();
+  std::vector<ExecutionOutcome> forward;
+  for (const GoldenCase& gc : suite) {
+    forward.push_back(runCase(gc.fuzzCase, SchedulerMutation::kNone,
+                              /*keepCanonicalTrace=*/true));
+    ASSERT_TRUE(forward.back().error.empty())
+        << gc.name << ": " << forward.back().error;
+  }
+  for (std::size_t i = suite.size(); i-- > 0;) {
+    const ExecutionOutcome again =
+        runCase(suite[i].fuzzCase, SchedulerMutation::kNone,
+                /*keepCanonicalTrace=*/true);
+    ASSERT_TRUE(again.error.empty()) << suite[i].name << ": " << again.error;
+    EXPECT_EQ(again.canonicalTrace, forward[i].canonicalTrace)
+        << suite[i].name;
+    EXPECT_EQ(again.traceHash, forward[i].traceHash) << suite[i].name;
+    EXPECT_EQ(canonicalRunResult(again.result),
+              canonicalRunResult(forward[i].result))
+        << suite[i].name;
+  }
+}
+
 TEST(GoldenTraces, CanonicalSerializationIsStable) {
   // The serialization itself is part of the golden format: a change
   // here invalidates every snapshot, so pin its shape directly.

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "check/fuzzer.h"
+#include "check/golden.h"
 #include "check/mutation.h"
 #include "graph/dynamics.h"
 #include "graph/generators.h"
@@ -300,6 +301,52 @@ TEST(DynamicsEngine, ReplayIsBitDeterministic) {
   ASSERT_TRUE(a.error.empty()) << a.error;
   EXPECT_EQ(a.traceHash, b.traceHash);
   EXPECT_TRUE(a.report.ok) << a.report.summary();
+}
+
+// Dynamics-heavy executions on a grey-zone field: crash/recovery
+// under the random scheduler and grey drift under the stuffing
+// adversary both drive the boundary scrub and the touched-receiver
+// guard pass many times.  Each passes every oracle and replays to the
+// same canonical trace and run result.
+TEST(DynamicsEngine, CrashAndDriftFieldsReplayGreen) {
+  check::FuzzCase crash;
+  crash.topology = check::TopologyFamily::kGreyZoneField;
+  crash.n = 18;
+  crash.k = 4;
+  crash.workload = check::WorkloadShape::kRoundRobin;
+  crash.scheduler = core::SchedulerKind::kRandom;
+  crash.mac = testutil::stdParams(4, 32);
+  crash.dynamics.kind = core::DynamicsSpec::Kind::kCrash;
+  crash.dynamics.crashes = 2;
+  crash.dynamics.period = 64;
+  crash.dynamics.downFor = 24;
+  crash.maxTime = 100'000;
+  crash.seed = 41;
+
+  check::FuzzCase drift = crash;
+  drift.dynamics = {};
+  drift.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+  drift.dynamics.epochs = 4;
+  drift.dynamics.period = 32;
+  drift.dynamics.churn = 0.4;
+  drift.scheduler = core::SchedulerKind::kAdversarialStuffing;
+  drift.seed = 42;
+
+  for (const check::FuzzCase& fuzzCase : {crash, drift}) {
+    const std::string what = check::toString(fuzzCase);
+    const check::ExecutionOutcome first = check::runCase(
+        fuzzCase, check::SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
+    ASSERT_TRUE(first.error.empty()) << what << ": " << first.error;
+    EXPECT_TRUE(first.report.ok) << what << ": " << first.report.summary();
+    ASSERT_FALSE(first.canonicalTrace.empty()) << what;
+    const check::ExecutionOutcome again = check::runCase(
+        fuzzCase, check::SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
+    EXPECT_EQ(again.canonicalTrace, first.canonicalTrace) << what;
+    EXPECT_EQ(again.traceHash, first.traceHash) << what;
+    EXPECT_EQ(check::canonicalRunResult(again.result),
+              check::canonicalRunResult(first.result))
+        << what;
+  }
 }
 
 // --- the dynamics mutation family -------------------------------------------

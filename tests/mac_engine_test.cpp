@@ -2,6 +2,8 @@
 // standard/enhanced model split, abort semantics, progress forcing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.h"
 #include "mac/engine.h"
 #include "mac/schedulers.h"
@@ -434,6 +436,108 @@ TEST(MacEngine, AckInFlightAcrossEpochBoundary) {
   EXPECT_TRUE(sawEpoch);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
   EXPECT_FALSE(checkTrace(base, engine.params(), engine.trace()).ok);
+}
+
+// The boundary scrub walks each instance's pending deliveries in place
+// and drops exactly the ones whose E' link vanished.  Two of a star
+// center's five leaves lose their link before the slow-ack delivery
+// time: those two pending deliveries are cancelled, the other three
+// (interleaved with them in the pending list) still fire on time.
+TEST(MacEngine, EpochScrubCancelsOnlyVanishedLinkDeliveries) {
+  const auto base = gen::identityDual(gen::star(6));
+  graph::TopologyDynamics dynamics;
+  dynamics.epochs.push_back(
+      {2, {{graph::TopologyEvent::Kind::kEdgeDown, 0, 2, false},
+           {graph::TopologyEvent::Kind::kEdgeDown, 0, 4, false}}});
+  const graph::TopologyView view(base, dynamics);
+
+  MacEngine engine(view, stdParams(), std::make_unique<SlowAckScheduler>(),
+                   [](NodeId node) -> std::unique_ptr<Process> {
+                     if (node == 0) return std::make_unique<ChainSender>(1);
+                     return std::make_unique<Idle>();
+                   },
+                   1);
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+
+  std::vector<NodeId> receivers;
+  for (const auto& record : engine.trace().records()) {
+    if (record.kind != sim::TraceKind::kRcv) continue;
+    EXPECT_EQ(record.t, 4);
+    receivers.push_back(record.node);
+  }
+  std::sort(receivers.begin(), receivers.end());
+  EXPECT_EQ(receivers, (std::vector<NodeId>{1, 3, 5}));
+  EXPECT_EQ(engine.stats().acks, 1u);
+  EXPECT_TRUE(engine.instance(0).pending.empty());
+  EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
+}
+
+// The scrub also covers aborted instances: a delivery kept alive by
+// the epsAbort grace window is cancelled when its link vanishes inside
+// that window.  Without the boundary the same delivery fires.
+TEST(MacEngine, EpochScrubCancelsAbortGraceDeliveries) {
+  class AbortEarly : public Process {
+   public:
+    void onWake(Context& ctx) override {
+      if (ctx.id() != 0) return;
+      Packet p;
+      ctx.bcast(std::move(p));
+      ctx.setTimerAfter(2);
+    }
+    void onTimer(Context& ctx, TimerId) override {
+      if (ctx.busy()) ctx.abortBcast();
+    }
+  };
+  MacParams params = enhParams(4, 32);
+  params.epsAbort = 8;  // the slow-ack delivery at 4 survives the abort at 2
+  const auto factory = [](NodeId) { return std::make_unique<AbortEarly>(); };
+
+  const auto base = gen::identityDual(gen::line(2));
+  MacEngine still(base, params, std::make_unique<SlowAckScheduler>(), factory,
+                  1);
+  still.run();
+  EXPECT_EQ(still.stats().aborts, 1u);
+  EXPECT_EQ(still.stats().rcvs, 1u);
+
+  graph::TopologyDynamics dynamics;
+  dynamics.epochs.push_back(
+      {3, {{graph::TopologyEvent::Kind::kEdgeDown, 0, 1, false}}});
+  const graph::TopologyView view(base, dynamics);
+  MacEngine dropped(view, params, std::make_unique<SlowAckScheduler>(),
+                    factory, 1);
+  dropped.run();
+  EXPECT_EQ(dropped.stats().aborts, 1u);
+  EXPECT_EQ(dropped.stats().rcvs, 0u);
+  EXPECT_TRUE(dropped.instance(0).pending.empty());
+  EXPECT_TRUE(checkTrace(view, dropped.params(), dropped.trace()).ok);
+}
+
+// The DualGraph constructor is a convenience over an owned static
+// view: both constructors run the same execution record for record.
+TEST(MacEngine, ViewAndDualGraphConstructorsAgree) {
+  Rng rng(5);
+  const auto topo = gen::withArbitraryNoise(gen::grid(4, 4), 2, rng);
+  const graph::TopologyView view(topo);
+  const auto factory = [](NodeId node) -> std::unique_ptr<Process> {
+    if (node % 3 == 0) return std::make_unique<ChainSender>(2);
+    return std::make_unique<Idle>();
+  };
+  MacEngine fromDual(topo, stdParams(), std::make_unique<RandomScheduler>(),
+                     factory, 9);
+  MacEngine fromView(view, stdParams(), std::make_unique<RandomScheduler>(),
+                     factory, 9);
+  fromDual.run();
+  fromView.run();
+
+  const auto& a = fromDual.trace().records();
+  const auto& b = fromView.trace().records();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_GT(a.size(), 0u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(sim::toString(a[i]), sim::toString(b[i])) << "record " << i;
+  }
+  EXPECT_EQ(fromDual.stats().rcvs, fromView.stats().rcvs);
+  EXPECT_EQ(fromDual.stats().forcedRcvs, fromView.stats().forcedRcvs);
 }
 
 }  // namespace

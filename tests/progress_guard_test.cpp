@@ -4,6 +4,9 @@
 // the offline checker.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/generators.h"
 #include "mac/engine.h"
 #include "mac/schedulers.h"
@@ -216,6 +219,51 @@ TEST(ProgressGuard, AbortCancelsTheObligation) {
   EXPECT_EQ(engine.stats().rcvs, 0u);
   const auto check = checkTrace(topo, params, engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
+}
+
+// Each engine's guard owns its evaluation scratch, so two engines
+// driven alternately in one thread run exactly as they do alone.  The
+// adversary makes the guard force deliveries in both.
+TEST(ProgressGuard, InterleavedEnginesMatchSoloRuns) {
+  Rng rngA(11);
+  Rng rngB(12);
+  const auto topoA = gen::withArbitraryNoise(gen::grid(4, 4), 2, rngA);
+  const auto topoB = gen::withArbitraryNoise(gen::ring(12), 3, rngB);
+  const auto make = [](const graph::DualGraph& topo) {
+    return std::make_unique<MacEngine>(
+        topo, stdParams(4, 32), std::make_unique<AdversarialScheduler>(),
+        [](NodeId node) -> std::unique_ptr<Process> {
+          return std::make_unique<SendN>(3, node);
+        },
+        7);
+  };
+  const auto records = [](const MacEngine& engine) {
+    std::vector<std::string> lines;
+    for (const auto& rec : engine.trace().records()) {
+      lines.push_back(sim::toString(rec));
+    }
+    return lines;
+  };
+
+  auto soloA = make(topoA);
+  auto soloB = make(topoB);
+  soloA->run();
+  soloB->run();
+  ASSERT_GT(soloA->stats().forcedRcvs, 0u);
+  ASSERT_GT(soloB->stats().forcedRcvs, 0u);
+
+  auto a = make(topoA);
+  auto b = make(topoB);
+  for (Time limit = 2; limit < 200; limit += 3) {
+    a->run(limit);
+    b->run(limit);
+  }
+  EXPECT_EQ(a->run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(b->run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(records(*a), records(*soloA));
+  EXPECT_EQ(records(*b), records(*soloB));
+  EXPECT_EQ(a->stats().forcedRcvs, soloA->stats().forcedRcvs);
+  EXPECT_EQ(b->stats().forcedRcvs, soloB->stats().forcedRcvs);
 }
 
 }  // namespace

@@ -117,6 +117,30 @@ TEST(SweepSpec, WorkloadAxisMultipliesTheGrid) {
   EXPECT_EQ(wls.size(), 3u);
 }
 
+TEST(KernelTag, SerialIsTheOnlyLabel) {
+  EXPECT_EQ(runner::KernelTag{}.label(), "serial");
+  EXPECT_EQ(runner::KernelTag::fromLabel("serial").label(), "serial");
+  EXPECT_EQ(SweepSpec{}.kernel.label(), "serial");
+}
+
+TEST(KernelTag, RejectsEveryOtherSpellingSayingWhy) {
+  for (const std::string label :
+       {"", "Serial", "threads:4", "parallel", "parallel:1", "parallel:4",
+        "parallel:auto"}) {
+    try {
+      runner::KernelTag::fromLabel(label);
+      ADD_FAILURE() << "accepted kernel \"" << label << "\"";
+    } catch (const Error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("\"" + label + "\""), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("parallel kernel was removed"),
+                std::string::npos)
+          << message;
+    }
+  }
+}
+
 TEST(SweepRunner, SolvesEveryRunOfABenignGrid) {
   SweepRunner::Options options;
   options.threads = 2;
@@ -177,6 +201,34 @@ TEST(SweepRunner, AggregatesAreBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(result.runs[i].result.messages.p95Latency,
                 base.runs[i].result.messages.p95Latency);
     }
+  }
+}
+
+TEST(SweepRunner, RecordsCarrySerialKernelProvenance) {
+  // The kernel label is provenance, never an input to results: every
+  // record says "serial" and writes it, at any worker-pool size.
+  SweepSpec spec = smallBmmbSpec();
+  spec.seedEnd = 3;
+  spec.check = runner::CheckMode::kFull;
+  SweepRunner::Options one;
+  one.threads = 1;
+  const auto base = SweepRunner(one).run(spec);
+  SweepRunner::Options four;
+  four.threads = 4;
+  const auto pooled = SweepRunner(four).run(spec);
+  ASSERT_EQ(base.runs.size(), spec.runCount());
+  ASSERT_EQ(pooled.runs.size(), base.runs.size());
+  for (std::size_t i = 0; i < base.runs.size(); ++i) {
+    for (const runner::RunRecord* record : {&base.runs[i], &pooled.runs[i]}) {
+      ASSERT_TRUE(record->error.empty()) << record->error;
+      EXPECT_TRUE(record->checkViolations.empty());
+      EXPECT_EQ(record->kernel, "serial");
+      const runner::json::Value json = runner::recordToJson(*record);
+      const runner::json::Value* kernel = json.find("kernel");
+      ASSERT_NE(kernel, nullptr);
+      EXPECT_EQ(kernel->asString(), "serial");
+    }
+    EXPECT_EQ(pooled.runs[i].traceHash, base.runs[i].traceHash) << "run " << i;
   }
 }
 

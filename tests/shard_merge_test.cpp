@@ -131,6 +131,18 @@ TEST(RecordIo, RoundTripsThroughJson) {
     EXPECT_EQ(back.result.messages.perMessage[i].completeAt,
               record.result.messages.perMessage[i].completeAt);
   }
+
+  // Records written on the removed parallel kernel carry
+  // "kernel":"parallel:N"; they still parse and re-serialize
+  // byte-identically, so old journals resume and old shards merge.
+  RunRecord legacy = record;
+  legacy.kernel = "parallel:4";
+  const std::string legacyText =
+      runner::json::dump(runner::recordToJson(legacy));
+  const RunRecord legacyBack =
+      runner::recordFromJson(runner::json::parse(legacyText));
+  EXPECT_EQ(legacyBack.kernel, "parallel:4");
+  EXPECT_EQ(runner::json::dump(runner::recordToJson(legacyBack)), legacyText);
 }
 
 /// Executes `shard` of the grid and serializes it the way
@@ -230,6 +242,31 @@ TEST(Merge, RejectsACorruptGridCoordinate) {
   EXPECT_THROW(runner::aggregateRecords(spec, duplicated), Error);
 }
 
+TEST(Merge, LegacyParallelLabelledShardsMergeByteForByte) {
+  // Shards written on the removed parallel kernel label every record
+  // "kernel":"parallel:N".  They still parse, re-serialize unchanged,
+  // and merge into the same aggregate document as serial shards.
+  const SweepSpec spec = gridSpec();
+  const std::string reference = referenceJson(spec, 1);
+  std::vector<runner::ShardDoc> shards;
+  for (std::size_t index = 0; index < 2; ++index) {
+    runner::ShardDoc doc = runShard(spec, Shard{index, 2}, 2);
+    for (RunRecord& record : doc.records) record.kernel = "parallel:4";
+    const std::string text = runner::shardJson(doc);
+    EXPECT_NE(text.find("parallel:4"), std::string::npos);
+    const runner::ShardDoc back = runner::parseShardJson(text);
+    EXPECT_EQ(runner::shardJson(back), text);
+    shards.push_back(back);
+  }
+  const std::vector<RunRecord> merged =
+      runner::mergeShardRecords(spec, gridFingerprint(), shards);
+  for (const RunRecord& record : merged) {
+    EXPECT_EQ(record.kernel, "parallel:4");
+  }
+  EXPECT_EQ(runner::toJson(runner::aggregateRecords(spec, merged)),
+            reference);
+}
+
 TEST(Journal, HeaderAndRecordsRoundTrip) {
   const SweepSpec spec = gridSpec();
   SweepRunner::Options options;
@@ -306,6 +343,45 @@ TEST(Journal, ResumeAfterTruncationReproducesTheSameBytes) {
   }
   EXPECT_EQ(runner::toJson(runner::aggregateRecords(spec, records)),
             reference);
+}
+
+TEST(Journal, ResumesALegacyParallelLabelledJournal) {
+  // A journal left behind by a parallel-kernel run: its records carry
+  // "kernel":"parallel:4".  Resuming it on the serial engine fills in
+  // the missing runs and reproduces the serial aggregate byte for byte.
+  const SweepSpec spec = gridSpec();
+  std::ostringstream journal;
+  journal << runner::journalHeaderLine(
+      {spec.name, gridFingerprint(), Shard{0, 1}, spec.runCount()});
+  const std::vector<RunPoint> points = runner::enumerateRuns(spec);
+  const std::vector<RunPoint> firstHalf(points.begin(),
+                                        points.begin() + points.size() / 2);
+  for (RunRecord record : SweepRunner().runPoints(spec, firstHalf)) {
+    record.kernel = "parallel:4";
+    journal << runner::journalRecordLine(record);
+  }
+
+  const runner::JournalDoc doc = runner::parseJournal(journal.str());
+  EXPECT_FALSE(doc.truncatedTail);
+  ASSERT_EQ(doc.records.size(), firstHalf.size());
+  std::set<std::size_t> done;
+  for (const RunRecord& record : doc.records) {
+    EXPECT_EQ(record.kernel, "parallel:4");
+    done.insert(record.point.runIndex);
+  }
+  std::vector<RunPoint> remaining;
+  for (const RunPoint& p : points) {
+    if (done.count(p.runIndex) == 0) remaining.push_back(p);
+  }
+  ASSERT_EQ(remaining.size(), points.size() - firstHalf.size());
+
+  std::vector<RunRecord> records = doc.records;
+  for (RunRecord& record : SweepRunner().runPoints(spec, remaining)) {
+    EXPECT_EQ(record.kernel, "serial");
+    records.push_back(std::move(record));
+  }
+  EXPECT_EQ(runner::toJson(runner::aggregateRecords(spec, records)),
+            referenceJson(spec, 1));
 }
 
 TEST(Journal, RejectsCorruptionOutsideTheTail) {

@@ -277,6 +277,14 @@ TEST(SpecIo, ErrorsNameTheFullKeyPath) {
   EXPECT_NE(parseErrorOf(specWithExtra(R"(, "kernel": "quantum")"))
                 .find("spec.kernel"),
             std::string::npos);
+  // The parallel kernel's spellings are rejected by name.
+  const std::string parallelError =
+      parseErrorOf(specWithExtra(R"(, "kernel": "parallel:4")"));
+  EXPECT_NE(parallelError.find("spec.kernel"), std::string::npos)
+      << parallelError;
+  EXPECT_NE(parallelError.find("parallel kernel was removed"),
+            std::string::npos)
+      << parallelError;
   EXPECT_NE(parseErrorOf(specWithExtra(R"(, "mac": "tdma")"))
                 .find("spec.mac"),
             std::string::npos);
@@ -304,6 +312,21 @@ TEST(SpecIo, ErrorsNameTheFullKeyPath) {
       "seed_begin": 1, "seed_end": 2})")
                 .find("spec.workloads[1].kind"),
             std::string::npos);
+}
+
+TEST(SpecIo, SerialKernelKeyIsAcceptedButNeverWritten) {
+  // "serial" is the key's only legal value and is never written, so
+  // spelling it out changes neither the canonical text nor the
+  // fingerprint.
+  const SpecDoc spelled =
+      runner::parseSpec(specWithExtra(R"(, "kernel": "serial")"));
+  const SpecDoc omitted = runner::parseSpec(specWithExtra(""));
+  EXPECT_EQ(spelled.kernel.label(), "serial");
+  const std::string canonical = runner::writeSpec(spelled);
+  EXPECT_EQ(canonical, runner::writeSpec(omitted));
+  EXPECT_EQ(canonical.find("\"kernel\""), std::string::npos) << canonical;
+  EXPECT_EQ(runner::specFingerprint(spelled),
+            runner::specFingerprint(omitted));
 }
 
 TEST(SpecIo, BackendAxisRoundTripsAndFingerprints) {
@@ -352,8 +375,11 @@ TEST(SpecIo, AxisOverridesApplyThroughTheCodecTable) {
                             "retransmit,retransmit+remis");
   ASSERT_EQ(doc.reactions.size(), 2u);
   EXPECT_EQ(doc.reactions[1].label(), "retransmit+remis");
-  runner::applyAxisOverride(doc, runner::axisCodec("kernel"), "parallel:2");
-  EXPECT_EQ(doc.kernel.label(), "parallel:2");
+  runner::applyAxisOverride(doc, runner::axisCodec("kernel"), "serial");
+  EXPECT_EQ(doc.kernel.label(), "serial");
+  EXPECT_THROW(
+      runner::applyAxisOverride(doc, runner::axisCodec("kernel"), "parallel"),
+      Error);
   // Errors name the CLI flag the bad value arrived through.
   try {
     runner::applyAxisOverride(doc, runner::axisCodec("backend"), "tcp");

@@ -98,4 +98,18 @@ if(NOT err MATCHES "--backend")
   message(FATAL_ERROR "override error does not name --backend:\n${err}")
 endif()
 
+# The removed parallel kernel is rejected the same way, by name.
+execute_process(
+  COMMAND ${AMMB_SWEEP} run "${SPEC}" --kernel parallel
+  WORKING_DIRECTORY "${WORKDIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "run accepted --kernel parallel")
+endif()
+if(NOT err MATCHES "--kernel" OR NOT err MATCHES "parallel kernel was removed")
+  message(FATAL_ERROR "--kernel parallel error does not say why:\n${err}")
+endif()
+
 message(STATUS "sweep CLI e2e: shard/merge/resume/compare all consistent")

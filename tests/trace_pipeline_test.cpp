@@ -329,12 +329,10 @@ void expectIdentical(const ExecutionOutcome& mem,
 }
 
 // The acceptance bar of the storage seam: every committed golden case
-// replays bit-identically from a disk spool — under the serial kernel
-// and at 1, 4 and 8 parallel workers, so the spool's write buffer and
-// the kernel's commit sequencing are exercised together.  (Equality
-// against the mem outcome is equality against the .golden snapshots,
-// which the golden regression test pins.)
-TEST(TracePipelineParity, GoldenSuiteSpooledAtSerialOneFourEightWorkers) {
+// replays bit-identically from a disk spool.  (Equality against the mem
+// outcome is equality against the .golden snapshots, which the golden
+// regression test pins.)
+TEST(TracePipelineParity, GoldenSuiteSpooled) {
   for (const GoldenCase& gc : check::goldenCaseSuite()) {
     const ExecutionOutcome mem = check::runCase(
         gc.fuzzCase, SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
@@ -343,25 +341,57 @@ TEST(TracePipelineParity, GoldenSuiteSpooledAtSerialOneFourEightWorkers) {
 
     FuzzCase spooled = gc.fuzzCase;
     spooled.traceMode = TraceMode::spool(4096);
-    const ExecutionOutcome serial = check::runCase(
+    const ExecutionOutcome spool = check::runCase(
         spooled, SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
-    expectIdentical(mem, serial, gc.name + " @ spool/serial");
-    EXPECT_TRUE(serial.report.ok) << gc.name << ": " << serial.report.summary();
-
-    for (const int workers : {1, 4, 8}) {
-      FuzzCase c = spooled;
-      c.kernel = sim::KernelSpec::parallelWith(workers);
-      const ExecutionOutcome parallel = check::runCase(
-          c, SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
-      expectIdentical(mem, parallel,
-                      gc.name + " @ spool/" + c.kernel.label());
-    }
+    expectIdentical(mem, spool, gc.name + " @ spool");
+    EXPECT_TRUE(spool.report.ok) << gc.name << ": " << spool.report.summary();
   }
 }
 
 // Negative-path parity: a broken scheduler must produce the *same*
 // violations whether the evidence was held in memory or streamed
 // through the spool — storage must never launder a mutation.
+// Epoch boundaries cancel pending deliveries and re-arm guard
+// deadlines mid-run; a spooled trace of such a run still matches the
+// in-memory one record for record, under crash/recovery and drift.
+TEST(TracePipelineParity, DynamicFieldsSpooled) {
+  FuzzCase base;
+  base.topology = check::TopologyFamily::kGreyZoneField;
+  base.n = 18;
+  base.k = 4;
+  base.workload = check::WorkloadShape::kRoundRobin;
+  base.mac = testutil::stdParams(4, 32);
+  base.maxTime = 100'000;
+
+  FuzzCase crash = base;
+  crash.scheduler = core::SchedulerKind::kRandom;
+  crash.dynamics.kind = core::DynamicsSpec::Kind::kCrash;
+  crash.dynamics.crashes = 2;
+  crash.dynamics.period = 64;
+  crash.dynamics.downFor = 24;
+  crash.seed = 41;
+
+  FuzzCase drift = base;
+  drift.scheduler = core::SchedulerKind::kAdversarialStuffing;
+  drift.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+  drift.dynamics.epochs = 4;
+  drift.dynamics.period = 32;
+  drift.dynamics.churn = 0.4;
+  drift.seed = 42;
+
+  for (const FuzzCase& c : {crash, drift}) {
+    const ExecutionOutcome mem = check::runCase(
+        c, SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
+    ASSERT_TRUE(mem.error.empty()) << check::toString(c) << ": " << mem.error;
+    EXPECT_TRUE(mem.report.ok) << mem.report.summary();
+    FuzzCase spooled = c;
+    spooled.traceMode = TraceMode::spool(4096);
+    const ExecutionOutcome spool = check::runCase(
+        spooled, SchedulerMutation::kNone, /*keepCanonicalTrace=*/true);
+    expectIdentical(mem, spool, check::toString(c) + " @ spool");
+  }
+}
+
 TEST(TracePipelineParity, MutationVerdictsMatchAcrossTraceModes) {
   FuzzCase c;
   c.protocol = core::ProtocolKind::kBmmb;

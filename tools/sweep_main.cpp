@@ -1,7 +1,7 @@
 // ammb_sweep — the sharded sweep service CLI.
 //
 //   ammb_sweep run SPEC.json [--shard I/N] [--threads T]
-//              [--kernel serial|parallel[:N]]
+//              [--kernel serial]
 //              [--mac abstract|csma[:slot,cwMin,cwMax,maxRetries,pCapture]]
 //              [--reaction none|retransmit|retransmit+remis[,...]]
 //              [--journal PATH [--resume]] [--shard-json PATH]
@@ -54,7 +54,7 @@ using tools::writeFile;
 int usage() {
   std::cerr
       << "usage: ammb_sweep run SPEC.json [--shard I/N] [--threads T]\n"
-         "                  [--kernel serial|parallel[:N]]\n"
+         "                  [--kernel serial]\n"
          "                  [--mac abstract|csma[:slot,cwMin,cwMax,"
          "maxRetries,pCapture]]\n"
          "                  [--reaction none|retransmit|retransmit+remis"
@@ -98,9 +98,9 @@ int cmdRun(int argc, char** argv) {
   }
   const std::string fingerprint = runner::specFingerprint(doc);
   // The pure-knob axes (--kernel, --trace-mode) apply after the
-  // fingerprint is taken: parallel runs are bit-identical to serial and
-  // spooled traces commit the same record sequence as in-memory ones,
-  // so a shard run with either override still journals/merges against
+  // fingerprint is taken: "serial" is the only kernel, and spooled
+  // traces commit the same record sequence as in-memory ones, so a
+  // shard run with either override still journals/merges against
   // shards produced with any other setting.
   for (const runner::AxisCodec& codec : runner::axisCodecs()) {
     if (codec.resultBearing) continue;
