@@ -389,7 +389,7 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
   ++stats_.rcvs;
   if (forced) ++stats_.forcedRcvs;
 
-  guard_.onReceive(receiver, id, now());
+  guard_.onReceive(receiver, id);
 
   Context ctx(*this, receiver);
   state(receiver).process->onReceive(ctx, inst.packet);
@@ -423,17 +423,18 @@ void MacEngine::finishInstance(Instance& inst) {
   NodeState& sender = state(inst.sender);
   if (sender.current == inst.id) sender.current = kNoInstance;
 
-  // The instance no longer contends anywhere; coverage intervals it
-  // provided are now capped at termAt, so re-evaluate the neighborhood.
-  // Live-list membership always tracks the *current* epoch's E'
-  // neighborhood (epoch boundaries rebuild it), so the current CSR
-  // span covers exactly the nodes holding this instance.
+  // The instance no longer contends anywhere, and the covers it gave
+  // its receivers are now capped at termAt - 1: record the cap, then
+  // re-evaluate the neighborhood.  Live-list membership always tracks
+  // the *current* epoch's E' neighborhood (epoch boundaries rebuild
+  // it), so the current CSR span covers exactly the nodes holding this
+  // instance.
   const graph::CsrSnapshot::Span pNbrs = csr_->pNeighbors(inst.sender);
   for (NodeId j : pNbrs) {
     state(j).removeLive(inst.id);
   }
-  // Termination also caps this instance's cover intervals at termAt —
-  // including covers held by receivers the sender can no longer reach
+  guard_.onTerminate(inst);
+  // The cap also reaches receivers the sender can no longer reach
   // (their link dropped, or the sender crashed, since the delivery).
   // Static topologies never add such extras: deliveredTo is always a
   // subset of the sender's E' neighborhood there.  The extras are

@@ -152,6 +152,9 @@ class MacEngine : public MacLayer {
   const graph::DualGraph& topology() const override {
     return view_->dualAt(epoch_);
   }
+  /// The current epoch's flat adjacency: the same graphs as
+  /// topology(), in the same neighbor order, with cheaper probes.
+  const graph::CsrSnapshot& csr() const { return *csr_; }
   /// The full epoch-indexed view (offline checkers need every epoch).
   const graph::TopologyView& view() const { return *view_; }
   /// The epoch covering now().

@@ -6,19 +6,36 @@
 // Fprog, j must receive some contending message.  Benign schedulers
 // satisfy it trivially by delivering fast; adversarial schedulers push
 // deliveries as late as legal.  The guard is the engine component that
-// makes *any* scheduler's execution compliant: it tracks, per receiver,
+// makes *any* scheduler's execution compliant.  In interval terms, per
+// receiver j,
 //
 //   need  = union over live instances π with sender in N_G(j) of
 //           [bcastAt(π), plannedTerm(π) - Fprog - 1]      (window starts)
 //   cover = union over rcv events (d, π') at j of
 //           [d - Fprog, term(π') - 1]   (term = +inf while π' is live)
 //
-// and whenever some t in need \ cover exists, arms a deadline at
-// t + Fprog.  If the deadline arrives and t is still uncovered, the
-// guard forces a delivery from a live contending instance chosen by the
+// and whenever some t in need \ cover exists, the guard arms a deadline
+// at t + Fprog.  If the deadline arrives and t is still uncovered, it
+// forces a delivery from a live contending instance chosen by the
 // scheduler (Scheduler::pickProgressDelivery).  A candidate always
 // exists: if every live contending instance had already delivered to j,
 // t would be covered.
+//
+// The guard never stores the cover set.  Two facts reduce it to a
+// frontier per receiver:
+//
+//   1. Every uncovered start the guard can see is >= now - Fprog: an
+//      older one would have had its deadline fire — and force a
+//      covering delivery — already (recompute asserts deadline >= now).
+//   2. Every cover starts at d - Fprog <= now - Fprog.
+//
+// So on [now - Fprog, +inf) the union of covers is the single prefix
+// [now - Fprog, max term - 1], and only its right end matters.  That
+// end is +inf while some live instance has delivered to j (counted in
+// liveCovers), else the largest termAt - 1 over terminated ones
+// (coveredThrough).  The earliest uncovered start is then exactly the
+// earliest need start at or after max(now - Fprog, coveredThrough + 1):
+// no sort, no cover scan, and O(1) while a live cover exists.
 //
 // The same interval algebra, applied offline to a finished trace, is
 // the progress-bound check in trace_checker.h.
@@ -32,27 +49,33 @@
 namespace ammb::mac {
 
 class MacEngine;
+struct Instance;
 
 /// Per-receiver progress-bound bookkeeping; owned by the engine.
 class ProgressGuard {
  public:
   ProgressGuard(MacEngine& engine, NodeId n);
 
-  /// Records a receive event at `receiver` caused by `instance`.
-  void onReceive(NodeId receiver, InstanceId instance, Time at);
+  /// Records a receive event at `receiver` caused by `instance` now.
+  void onReceive(NodeId receiver, InstanceId instance);
+
+  /// Caps the covers `instance` gave its receivers at termAt - 1.
+  /// Called once, when the instance terminates, before the engine
+  /// recomputes the affected receivers.
+  void onTerminate(const Instance& instance);
 
   /// Re-evaluates the deadline for `receiver` (called after instance
-  /// birth, termination, or a receive affecting `receiver`): prunes
-  /// its dead covers, then arms, re-arms or stands down its deadline.
+  /// birth, termination, or a receive affecting `receiver`): arms,
+  /// re-arms or stands down its deadline.
   void recompute(NodeId receiver);
 
  private:
-  struct Cover {
-    Time rcvAt;
-    InstanceId instance;
-  };
   struct State {
-    std::vector<Cover> covers;
+    /// Live instances that have delivered to this receiver.
+    int liveCovers = 0;
+    /// Right end of the covers from terminated instances (-1: none;
+    /// no window starts before time 0).
+    Time coveredThrough = -1;
     sim::EventHandle armedEvent = 0;
     Time armedDeadline = kTimeNever;
 
@@ -64,32 +87,15 @@ class ProgressGuard {
       armedDeadline = kTimeNever;
     }
   };
-  /// A closed integer interval [lo, hi]; hi == kTimeNever means +inf.
-  struct Interval {
-    Time lo;
-    Time hi;
-  };
-
-  /// Sorts and merges overlapping/adjacent intervals in place.  Dense
-  /// neighborhoods (stars, cliques) produce many near-identical need
-  /// intervals; merging keeps the cover scan linear instead of
-  /// quadratic.
-  static void normalize(std::vector<Interval>& xs);
 
   /// Earliest uncovered window start in the need set, or kTimeNever.
-  Time earliestUncovered(NodeId receiver);
+  Time earliestUncovered(NodeId receiver) const;
 
   /// Fires when an armed deadline is reached.
   void onDeadline(NodeId receiver);
 
-  /// Drops covers that can no longer matter.
-  void pruneCovers(NodeId receiver);
-
   MacEngine& engine_;
   std::vector<State> states_;
-  /// Scratch for earliestUncovered's need set: rebuilt on every call,
-  /// only its capacity persists (unobservable in results).
-  std::vector<Interval> need_;
 };
 
 }  // namespace ammb::mac

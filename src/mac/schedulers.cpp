@@ -11,15 +11,16 @@ DeliveryPlan uniformPlan(const MacEngine& engine, const Instance& instance,
                          Time gAt, Time gpAt, Time ackAt) {
   DeliveryPlan plan;
   plan.ackAt = ackAt;
-  const auto& topo = engine.topology();
-  for (NodeId j : topo.g().neighbors(instance.sender)) {
+  const graph::CsrSnapshot& csr = engine.csr();
+  const NodeId s = instance.sender;
+  const graph::CsrSnapshot::Span pNbrs = csr.pNeighbors(s);
+  plan.deliveries.reserve(pNbrs.size());
+  for (NodeId j : csr.gNeighbors(s)) {
     plan.deliveries.push_back({j, gAt});
   }
   if (gpAt != kTimeNever) {
-    for (NodeId j : topo.gPrime().neighbors(instance.sender)) {
-      if (!topo.g().hasEdge(instance.sender, j)) {
-        plan.deliveries.push_back({j, gpAt});
-      }
+    for (NodeId j : pNbrs) {
+      if (!csr.hasGEdge(s, j)) plan.deliveries.push_back({j, gpAt});
     }
   }
   return plan;
@@ -54,16 +55,19 @@ DeliveryPlan RandomScheduler::planBcast(const Instance& instance) {
   Rng& rng = engine_->schedulerRng();
   const Time t0 = instance.bcastAt;
   DeliveryPlan plan;
-  const auto& topo = engine_->topology();
+  const graph::CsrSnapshot& csr = engine_->csr();
+  const NodeId s = instance.sender;
+  const graph::CsrSnapshot::Span pNbrs = csr.pNeighbors(s);
+  plan.deliveries.reserve(pNbrs.size());
   Time latestG = t0;
-  for (NodeId j : topo.g().neighbors(instance.sender)) {
+  for (NodeId j : csr.gNeighbors(s)) {
     const Time at = t0 + rng.uniformInt(1, p.fprog);
     latestG = std::max(latestG, at);
     plan.deliveries.push_back({j, at});
   }
   plan.ackAt = rng.uniformInt(latestG, t0 + p.fack);
-  for (NodeId j : topo.gPrime().neighbors(instance.sender)) {
-    if (topo.g().hasEdge(instance.sender, j)) continue;
+  for (NodeId j : pNbrs) {
+    if (csr.hasGEdge(s, j)) continue;
     if (!rng.bernoulli(options_.pUnreliable)) continue;
     plan.deliveries.push_back({j, rng.uniformInt(t0, plan.ackAt)});
   }
@@ -95,9 +99,10 @@ DeliveryPlan AdversarialScheduler::planBcast(const Instance& instance) {
   DeliveryPlan plan =
       uniformPlan(*engine_, instance, ackAt, kTimeNever, ackAt);
   if (options_.stuffUnreliable) {
-    const auto& topo = engine_->topology();
-    for (NodeId j : topo.gPrime().neighbors(instance.sender)) {
-      if (!topo.g().hasEdge(instance.sender, j)) {
+    const graph::CsrSnapshot& csr = engine_->csr();
+    const NodeId s = instance.sender;
+    for (NodeId j : csr.pNeighbors(s)) {
+      if (!csr.hasGEdge(s, j)) {
         plan.deliveries.push_back({j, instance.bcastAt + 1});
       }
     }
@@ -108,7 +113,7 @@ DeliveryPlan AdversarialScheduler::planBcast(const Instance& instance) {
 InstanceId AdversarialScheduler::pickProgressDelivery(
     NodeId receiver, const std::vector<InstanceId>& candidates) {
   const ProtocolOracle* oracle = engine_->oracle();
-  const auto& topo = engine_->topology();
+  const graph::CsrSnapshot& csr = engine_->csr();
   // Preference order: (1) useless for the protocol, (2) arriving over
   // an unreliable edge, (3) oldest.  Candidates are sorted by id.
   InstanceId bestUseless = kNoInstance;
@@ -120,7 +125,7 @@ InstanceId AdversarialScheduler::pickProgressDelivery(
       bestUseless = id;
     }
     if (bestCross == kNoInstance &&
-        !topo.g().hasEdge(inst.sender, receiver)) {
+        !csr.hasGEdge(inst.sender, receiver)) {
       bestCross = id;
     }
   }

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/topology_view.h"
 #include "mac/engine.h"
 #include "mac/schedulers.h"
 #include "mac/trace_checker.h"
@@ -37,6 +39,70 @@ class SendN : public Process {
   int remaining_;
   NodeId who_;
 };
+
+/// Plans every instance from a per-sender script: one delivery to each
+/// G'-neighbor at bcast + deliverAfter, the ack at bcast + ackAfter.
+class ScriptedScheduler : public Scheduler {
+ public:
+  struct Script {
+    Time deliverAfter = 0;
+    Time ackAfter = 0;
+  };
+  explicit ScriptedScheduler(std::vector<Script> scripts)
+      : scripts_(std::move(scripts)) {}
+  DeliveryPlan planBcast(const Instance& inst) override {
+    const Script& s = scripts_[static_cast<std::size_t>(inst.sender)];
+    DeliveryPlan plan;
+    plan.ackAt = inst.bcastAt + s.ackAfter;
+    for (NodeId j : engine_->topology().gPrime().neighbors(inst.sender)) {
+      plan.deliveries.push_back({j, inst.bcastAt + s.deliverAfter});
+    }
+    return plan;
+  }
+
+ private:
+  std::vector<Script> scripts_;
+};
+
+/// Broadcasts once at wake and aborts `abortAfter` ticks later.
+class BcastThenAbort : public Process {
+ public:
+  explicit BcastThenAbort(Time abortAfter) : abortAfter_(abortAfter) {}
+  void onWake(Context& ctx) override {
+    ctx.bcast(Packet{});
+    ctx.setTimerAfter(abortAfter_);
+  }
+  void onTimer(Context& ctx, TimerId) override {
+    if (ctx.busy()) ctx.abortBcast();
+  }
+
+ private:
+  Time abortAfter_;
+};
+
+/// (time, sender) of every receive at `node`, in trace order.
+std::vector<std::pair<Time, NodeId>> rcvsAt(const MacEngine& engine,
+                                            NodeId node) {
+  std::vector<std::pair<Time, NodeId>> out;
+  for (const auto& rec : engine.trace().records()) {
+    if (rec.kind != sim::TraceKind::kRcv || rec.node != node) continue;
+    out.emplace_back(rec.t, engine.instance(rec.instance).sender);
+  }
+  return out;
+}
+
+/// Node 1 with G-neighbor 0 and G'-only neighbors 2..n-1.
+graph::DualGraph receiverStar(NodeId n) {
+  graph::Graph g(n);
+  g.addEdge(0, 1);
+  g.finalize();
+  graph::Graph gp(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v != 1) gp.addEdge(v, 1);
+  }
+  gp.finalize();
+  return graph::DualGraph(std::move(g), std::move(gp));
+}
 
 TEST(ProgressGuard, ForcesExactlyOneDeliveryPerInstanceLifetime) {
   // A 2-node line under the adversary: the guard must force the
@@ -221,7 +287,94 @@ TEST(ProgressGuard, AbortCancelsTheObligation) {
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
-// Each engine's guard owns its evaluation scratch, so two engines
+TEST(ProgressGuard, GraceReceiveCoversOnlyThroughTheAbort) {
+  // Node 0's instance obliges node 1 from t = 0.  Node 2 aborts at t = 2
+  // and its planned receive still lands at t = 3, inside epsAbort.  That
+  // receive covers window starts [-1, termAt - 1] = [-1, 1] only, so
+  // start 2 is uncovered and the guard forces node 0's message at
+  // 2 + fprog = 6 (not at 4, and not at the ack).
+  auto params = stdParams(4, 32);
+  params.variant = ModelVariant::kEnhanced;
+  params.epsAbort = 3;
+  const auto topo = receiverStar(3);
+  MacEngine engine(topo, params,
+                   std::make_unique<ScriptedScheduler>(
+                       std::vector<ScriptedScheduler::Script>{
+                           {32, 32}, {0, 0}, {3, 32}}),
+                   [](NodeId node) -> std::unique_ptr<Process> {
+                     if (node == 2) return std::make_unique<BcastThenAbort>(2);
+                     return std::make_unique<SendN>(node == 0 ? 1 : 0, node);
+                   },
+                   1);
+  engine.run();
+  EXPECT_EQ(rcvsAt(engine, 1),
+            (std::vector<std::pair<Time, NodeId>>{{3, 2}, {6, 0}}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 1u);
+  const auto check = checkTrace(topo, params, engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
+TEST(ProgressGuard, OverlappingLiveCoversReleaseOnlyWhenTheLastTerminates) {
+  // Node 1 is obliged from t = 0 by node 0 (delivery held to the ack at
+  // 32).  Junk from nodes 2 and 3 lands at t = 1 and t = 2 and stays
+  // live until their acks at 10 and 20.  The first ack leaves node 1
+  // covered; the second re-arms the deadline at window start 20, so
+  // the guard forces node 0's message at 20 + fprog = 24.
+  const auto topo = receiverStar(4);
+  MacEngine engine(topo, stdParams(4, 32),
+                   std::make_unique<ScriptedScheduler>(
+                       std::vector<ScriptedScheduler::Script>{
+                           {32, 32}, {0, 0}, {1, 10}, {2, 20}}),
+                   [](NodeId node) -> std::unique_ptr<Process> {
+                     return std::make_unique<SendN>(node == 1 ? 0 : 1, node);
+                   },
+                   1);
+  engine.run();
+  EXPECT_EQ(rcvsAt(engine, 1), (std::vector<std::pair<Time, NodeId>>{
+                                   {1, 2}, {2, 3}, {24, 0}}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 1u);
+  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
+TEST(ProgressGuard, MidInstanceEdgeObligesFromItsEpochStart) {
+  // Link {0, 1} is G'-only until the epoch at t = 10 makes it reliable,
+  // while node 0's instance (bcast at 0, ack at 32) is in flight.  The
+  // instance obliges node 1 only from the link's live-since instant,
+  // so the first uncovered window start is 10 and the guard forces the
+  // delivery at 10 + fprog = 14.
+  graph::Graph g(2);
+  g.finalize();
+  graph::Graph gp(2);
+  gp.addEdge(0, 1);
+  gp.finalize();
+  const graph::DualGraph base(std::move(g), std::move(gp));
+  graph::TopologyDynamics dynamics;
+  graph::TopologyEvent up;
+  up.kind = graph::TopologyEvent::Kind::kEdgeUp;
+  up.u = 0;
+  up.v = 1;
+  up.reliable = true;
+  dynamics.epochs.push_back({10, {up}});
+  const graph::TopologyView view(base, dynamics);
+
+  MacEngine engine(view, stdParams(4, 32),
+                   std::make_unique<ScriptedScheduler>(
+                       std::vector<ScriptedScheduler::Script>{{32, 32},
+                                                              {0, 0}}),
+                   [](NodeId node) -> std::unique_ptr<Process> {
+                     return std::make_unique<SendN>(node == 0 ? 1 : 0, node);
+                   },
+                   1);
+  engine.run();
+  EXPECT_EQ(rcvsAt(engine, 1),
+            (std::vector<std::pair<Time, NodeId>>{{14, 0}}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 1u);
+  const auto check = checkTrace(view, engine.params(), engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
+// Each engine's guard owns its per-receiver state, so two engines
 // driven alternately in one thread run exactly as they do alone.  The
 // adversary makes the guard force deliveries in both.
 TEST(ProgressGuard, InterleavedEnginesMatchSoloRuns) {
