@@ -326,7 +326,7 @@ std::unique_ptr<core::ArrivalProcess> buildArrivals(const FuzzCase& c,
   throw Error("unknown workload shape");
 }
 
-core::RunConfig runConfigFor(const FuzzCase& c) {
+core::RunConfig runConfigFor(const FuzzCase& c, SchedulerMutation mutation) {
   core::RunConfig config;
   config.mac = c.mac;
   config.scheduler = c.scheduler;
@@ -338,6 +338,27 @@ core::RunConfig runConfigFor(const FuzzCase& c) {
   config.limits.maxEvents = c.maxEvents;
   config.traceMode = c.traceMode;
   config.realization = c.realization;
+  if (mutation == SchedulerMutation::kNone) return config;
+  applyMutation(config.scheduler, mutation);
+  // Mutants must reach the trace: run to the limits instead of
+  // stopping at the solving delivery (a tiny case can solve before
+  // the first broken ack ever fires).
+  config.limits.stopOnSolve = false;
+  // The stale-topology mutant is only wrong when the topology
+  // actually changes under it; force a heavy grey drift on cases
+  // that sampled a static (or crash-only) schedule.  Full churn
+  // over an odd epoch count leaves every base grey edge down for
+  // good after the last boundary, so any late bcast (BMMB relays
+  // arrive one ack apart) delivers over a vanished edge.
+  if (mutation == SchedulerMutation::kStaleTopology &&
+      config.dynamics.kind != core::DynamicsSpec::Kind::kGreyDrift) {
+    core::DynamicsSpec dyn;
+    dyn.kind = core::DynamicsSpec::Kind::kGreyDrift;
+    dyn.epochs = 7;
+    dyn.period = std::max<Time>(2, config.mac.fprog);
+    dyn.churn = 1.0;
+    config.dynamics = dyn;
+  }
   return config;
 }
 
@@ -356,29 +377,7 @@ ExecutionOutcome runCase(const FuzzCase& fuzzCase, SchedulerMutation mutation,
     const std::unique_ptr<core::ArrivalProcess> arrivals =
         buildArrivals(fuzzCase, topology.n());
     const core::MmbWorkload workload = core::materializeWorkload(*arrivals);
-    core::RunConfig config = runConfigFor(fuzzCase);
-    if (mutation != SchedulerMutation::kNone) {
-      applyMutation(config.scheduler, mutation);
-      // Mutants must reach the trace: run to the limits instead of
-      // stopping at the solving delivery (a tiny case can solve before
-      // the first broken ack ever fires).
-      config.limits.stopOnSolve = false;
-      // The stale-topology mutant is only wrong when the topology
-      // actually changes under it; force a heavy grey drift on cases
-      // that sampled a static (or crash-only) schedule.  Full churn
-      // over an odd epoch count leaves every base grey edge down for
-      // good after the last boundary, so any late bcast (BMMB relays
-      // arrive one ack apart) delivers over a vanished edge.
-      if (mutation == SchedulerMutation::kStaleTopology &&
-          config.dynamics.kind != core::DynamicsSpec::Kind::kGreyDrift) {
-        core::DynamicsSpec dyn;
-        dyn.kind = core::DynamicsSpec::Kind::kGreyDrift;
-        dyn.epochs = 7;
-        dyn.period = std::max<Time>(2, config.mac.fprog);
-        dyn.churn = 1.0;
-        config.dynamics = dyn;
-      }
-    }
+    const core::RunConfig config = runConfigFor(fuzzCase, mutation);
     const core::ProtocolSpec protocol =
         protocolSpecFor(fuzzCase, topology.n());
     core::Experiment experiment(topology, protocol, *arrivals, config);

@@ -183,8 +183,11 @@ graph::DualGraph buildTopology(const FuzzCase& fuzzCase);
 std::unique_ptr<core::ArrivalProcess> buildArrivals(const FuzzCase& fuzzCase,
                                                     NodeId n);
 
-/// The RunConfig of a case (trace recording always on).
-core::RunConfig runConfigFor(const FuzzCase& fuzzCase);
+/// The RunConfig of a case (trace recording always on) under
+/// `mutation`: a mutated case runs to its limits, and a stale-topology
+/// case is forced onto a heavy grey drift.
+core::RunConfig runConfigFor(const FuzzCase& fuzzCase,
+                             SchedulerMutation mutation);
 
 /// The ProtocolSpec of a case on an n-node network.
 core::ProtocolSpec protocolSpecFor(const FuzzCase& fuzzCase, NodeId n);

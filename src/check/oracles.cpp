@@ -5,25 +5,20 @@ namespace ammb::check {
 namespace {
 
 using sim::TraceKind;
-using sim::TraceRecord;
 
 void add(OracleReport& report, const char* family, const std::string& msg) {
   report.ok = false;
   report.violations.push_back(std::string(family) + ": " + msg);
 }
 
-/// Whether the protocol spec claims to keep making progress across
-/// churn.  BMMB reacts under any non-kNone reaction (retransmit-on-
-/// recovery); FMMB only rebases its schedule under kRetransmitRemis —
-/// plain kRetransmit is a no-op there and claims nothing.
+}  // namespace
+
 bool reactsToChurn(const core::ProtocolSpec& protocol) {
   if (protocol.kind() == core::ProtocolKind::kFmmb) {
     return protocol.fmmb().reaction.remis();
   }
   return !protocol.bmmb().reaction.none();
 }
-
-}  // namespace
 
 bool finalEpochRestoresConnectivity(const graph::TopologyView& view) {
   if (!view.dynamic()) return true;
@@ -49,35 +44,26 @@ bool finalEpochRestoresConnectivity(const graph::TopologyView& view) {
 struct ExecutionChecker::Impl {
   Impl(const graph::TopologyView& viewIn, const core::ProtocolSpec& protocolIn,
        const mac::MacParams& macIn, const core::MmbWorkload& workloadIn,
-       Options optionsIn)
+       Time macHorizonClip)
       : view(viewIn),
         protocol(protocolIn),
-        macParams(macIn),
         workload(workloadIn),
-        options(optionsIn),
+        macChecker(viewIn, macIn, macHorizonClip),
         mmb(viewIn.base(), workloadIn),
-        roundLen(macIn.fprog + 1) {
-    if (options.checkMac) {
-      macChecker = std::make_unique<mac::TraceChecker>(
-          view, macParams, options.macHorizonClip);
-    }
-  }
+        roundLen(macIn.fprog + 1) {}
 
   const graph::TopologyView& view;
   const core::ProtocolSpec& protocol;
-  const mac::MacParams& macParams;
   const core::MmbWorkload& workload;
-  Options options;
 
-  std::unique_ptr<mac::TraceChecker> macChecker;
+  mac::TraceChecker macChecker;
   core::MmbTraceChecker mmb;
 
   std::uint64_t bcasts = 0, rcvs = 0, acks = 0, aborts = 0, delivers = 0,
                 arrives = 0;
 
   Time roundLen;
-  /// FMMB lock-step findings, in stream order (matching the offline
-  /// whole-trace scan).
+  /// FMMB lock-step findings, in stream order.
   std::vector<std::string> fmmbViolations;
 };
 
@@ -85,20 +71,15 @@ ExecutionChecker::ExecutionChecker(const graph::TopologyView& view,
                                    const core::ProtocolSpec& protocol,
                                    const mac::MacParams& mac,
                                    const core::MmbWorkload& workload,
-                                   Options options)
-    : impl_(std::make_unique<Impl>(view, protocol, mac, workload, options)) {}
-
-ExecutionChecker::ExecutionChecker(const graph::TopologyView& view,
-                                   const core::ProtocolSpec& protocol,
-                                   const mac::MacParams& mac,
-                                   const core::MmbWorkload& workload)
-    : ExecutionChecker(view, protocol, mac, workload, Options{}) {}
+                                   Time macHorizonClip)
+    : impl_(std::make_unique<Impl>(view, protocol, mac, workload,
+                                   macHorizonClip)) {}
 
 ExecutionChecker::~ExecutionChecker() = default;
 
 void ExecutionChecker::feed(const sim::TraceRecord& r) {
   Impl& im = *impl_;
-  if (im.macChecker != nullptr) im.macChecker->feed(r);
+  im.macChecker.feed(r);
   im.mmb.feed(r);
   switch (r.kind) {
     case TraceKind::kBcast: ++im.bcasts; break;
@@ -120,20 +101,14 @@ void ExecutionChecker::feed(const sim::TraceRecord& r) {
   }
 }
 
-OracleReport ExecutionChecker::finish(const core::RunResult& result,
-                                      const mac::CheckResult* externalMac) {
+OracleReport ExecutionChecker::finish(const core::RunResult& result) {
   Impl& im = *impl_;
   OracleReport report;
 
   // 1. MAC-layer axioms, up to the time the run stopped — epoch-aware:
   // each delivery is judged against its epoch's topology and the
   // ack/progress guarantees only bind whole-window-live links.
-  mac::CheckResult macResult;
-  if (externalMac != nullptr) {
-    macResult = *externalMac;
-  } else if (im.macChecker != nullptr) {
-    macResult = im.macChecker->finish(result.endTime);
-  }
+  mac::CheckResult macResult = im.macChecker.finish(result.endTime);
   for (const std::string& v : macResult.violations) add(report, "mac", v);
   report.macRecords = std::move(macResult.records);
 
@@ -203,9 +178,7 @@ OracleReport checkExecution(const graph::TopologyView& view,
                             const core::RunResult& result) {
   AMMB_REQUIRE(trace.enabled(),
                "checkExecution requires a trace that recorded events");
-  ExecutionChecker::Options options;
-  options.macHorizonClip = result.endTime;
-  ExecutionChecker checker(view, protocol, mac, workload, options);
+  ExecutionChecker checker(view, protocol, mac, workload, result.endTime);
   trace.forEach(
       [&checker](const sim::TraceRecord& r) { checker.feed(r); });
   return checker.finish(result);
@@ -219,82 +192,6 @@ OracleReport checkExecution(const graph::DualGraph& topology,
                             const core::RunResult& result) {
   const graph::TopologyView view(topology);
   return checkExecution(view, protocol, mac, workload, trace, result);
-}
-
-OracleReport checkExecutionOffline(const graph::TopologyView& view,
-                                   const core::ProtocolSpec& protocol,
-                                   const mac::MacParams& mac,
-                                   const core::MmbWorkload& workload,
-                                   const sim::Trace& trace,
-                                   const core::RunResult& result) {
-  AMMB_REQUIRE(trace.enabled(),
-               "checkExecutionOffline requires a trace that recorded events");
-  OracleReport report;
-
-  mac::CheckResult macResult =
-      mac::checkTraceOffline(view, mac, trace, result.endTime);
-  for (const std::string& v : macResult.violations) add(report, "mac", v);
-  report.macRecords = std::move(macResult.records);
-
-  const core::MmbCheckResult mmb = core::checkMmbTrace(
-      view.base(), workload, trace, /*requireSolved=*/result.solved);
-  for (const std::string& v : mmb.violations) add(report, "mmb", v);
-
-  if (!result.solved && result.status == sim::RunStatus::kDrained &&
-      (!view.dynamic() ||
-       (finalEpochRestoresConnectivity(view) && reactsToChurn(protocol)))) {
-    add(report, "liveness",
-        "event queue drained at t=" + std::to_string(result.endTime) +
-            " with the MMB problem unsolved (protocol quiesced early)");
-  }
-
-  if (result.solved) {
-    if (result.solveTime == kTimeNever || result.solveTime > result.endTime) {
-      add(report, "result",
-          "solved run reports solve time outside the execution");
-    }
-    if (result.messages.completed !=
-        static_cast<std::uint64_t>(workload.k)) {
-      add(report, "result",
-          "solved run completed " + std::to_string(result.messages.completed) +
-              " of " + std::to_string(workload.k) + " messages");
-    }
-  }
-  std::uint64_t bcasts = 0, rcvs = 0, acks = 0, aborts = 0, delivers = 0,
-                arrives = 0;
-  for (const TraceRecord& r : trace.records()) {
-    switch (r.kind) {
-      case TraceKind::kBcast: ++bcasts; break;
-      case TraceKind::kRcv: ++rcvs; break;
-      case TraceKind::kAck: ++acks; break;
-      case TraceKind::kAbort: ++aborts; break;
-      case TraceKind::kDeliver: ++delivers; break;
-      case TraceKind::kArrive: ++arrives; break;
-      default: break;
-    }
-  }
-  if (bcasts != result.stats.bcasts || rcvs != result.stats.rcvs ||
-      acks != result.stats.acks || aborts != result.stats.aborts ||
-      delivers != result.stats.delivers || arrives != result.stats.arrives) {
-    add(report, "result",
-        "engine counters disagree with the trace record counts");
-  }
-
-  if (protocol.kind() == core::ProtocolKind::kFmmb) {
-    const Time roundLen = mac.fprog + 1;
-    for (const TraceRecord& r : trace.records()) {
-      if ((r.kind == TraceKind::kBcast || r.kind == TraceKind::kAbort) &&
-          r.t % roundLen != 0) {
-        add(report, "fmmb",
-            std::string(r.kind == TraceKind::kBcast ? "bcast" : "abort") +
-                " at node " + std::to_string(r.node) + " off the round grid" +
-                " (t=" + std::to_string(r.t) + ", round length " +
-                std::to_string(roundLen) + ")");
-      }
-    }
-  }
-
-  return report;
 }
 
 }  // namespace ammb::check

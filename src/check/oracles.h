@@ -21,14 +21,12 @@
 // The oracles are the ground truth of the fuzzing subsystem
 // (check/fuzzer.h) and of CheckMode sweeps (runner/sweep_spec.h).
 //
-// The production implementation is streaming: ExecutionChecker
-// consumes records in commit order (feed() or a live-Trace
-// attachConsumer) and keeps only O(n + active instances) of state —
-// the internal mac::TraceChecker, the MMB bitmaps, per-kind counters
-// and the FMMB round-grid findings — so spooled traces are vetted
-// without ever materializing.  checkExecution() drives it over a
-// stored trace; checkExecutionOffline() retains the original
-// whole-trace composition for the streaming-parity suite.
+// The implementation is streaming: ExecutionChecker consumes records
+// in commit order (feed() or a live-Trace attachConsumer) and keeps
+// only O(n + active instances) of state — the internal
+// mac::TraceChecker, the MMB bitmaps, per-kind counters and the FMMB
+// round-grid findings — so spooled traces are vetted without ever
+// materializing.  checkExecution() drives it over a stored trace.
 #pragma once
 
 #include <memory>
@@ -62,37 +60,29 @@ struct OracleReport {
 /// see below.
 bool finalEpochRestoresConnectivity(const graph::TopologyView& view);
 
+/// Whether the protocol spec claims to keep making progress across
+/// churn — the liveness oracle's other re-arming switch.  BMMB reacts
+/// under any non-kNone reaction (retransmit-on-recovery); FMMB only
+/// rebases its schedule under kRetransmitRemis — plain kRetransmit is a
+/// no-op there and claims nothing.
+bool reactsToChurn(const core::ProtocolSpec& protocol);
+
 /// Single-pass streaming form of checkExecution: construct against the
 /// run's topology/protocol/params/workload, feed every record in
 /// commit order, then finish() with the RunResult for the merged
-/// verdict — byte-identical to the offline composition.
+/// verdict.
 ///
-/// The MAC block is either computed internally (Options::checkMac,
-/// the default) or supplied post-hoc at finish() — the latter is for
-/// realized/net runs whose MAC verdict is produced elsewhere (e.g.
-/// against post-hoc fitted bounds).
+/// `macHorizonClip` is the observation-window clip of the internal
+/// mac::TraceChecker (same semantics as its horizonClip).  kTimeNever
+/// defers the horizon to finish(), which uses result.endTime — exact
+/// for engine-committed traces.
 class ExecutionChecker : public sim::TraceConsumer {
  public:
-  struct Options {
-    /// Run the streaming mac::TraceChecker internally.  Disable when a
-    /// mac::CheckResult will be handed to finish() instead.
-    bool checkMac = true;
-    /// Observation-window clip for the internal MAC checker (same
-    /// semantics as mac::TraceChecker's horizonClip).  kTimeNever
-    /// defers the horizon to finish(), which uses result.endTime —
-    /// exact for engine-committed traces.
-    Time macHorizonClip = kTimeNever;
-  };
-
   ExecutionChecker(const graph::TopologyView& view,
                    const core::ProtocolSpec& protocol,
                    const mac::MacParams& mac,
-                   const core::MmbWorkload& workload, Options options);
-  /// Default options: internal MAC checker, horizon at finish().
-  ExecutionChecker(const graph::TopologyView& view,
-                   const core::ProtocolSpec& protocol,
-                   const mac::MacParams& mac,
-                   const core::MmbWorkload& workload);
+                   const core::MmbWorkload& workload,
+                   Time macHorizonClip = kTimeNever);
   ~ExecutionChecker() override;
 
   ExecutionChecker(const ExecutionChecker&) = delete;
@@ -102,11 +92,8 @@ class ExecutionChecker : public sim::TraceConsumer {
   void feed(const sim::TraceRecord& record);
   void onRecord(const sim::TraceRecord& record) override { feed(record); }
 
-  /// Assembles the merged verdict.  `externalMac`, when non-null,
-  /// becomes the report's MAC block verbatim (Options::checkMac should
-  /// then be false so no redundant internal checker ran).
-  OracleReport finish(const core::RunResult& result,
-                      const mac::CheckResult* externalMac = nullptr);
+  /// Assembles the merged verdict.
+  OracleReport finish(const core::RunResult& result);
 
  private:
   struct Impl;
@@ -142,17 +129,5 @@ OracleReport checkExecution(const graph::DualGraph& topology,
                             const core::MmbWorkload& workload,
                             const sim::Trace& trace,
                             const core::RunResult& result);
-
-/// The original whole-trace composition (mac::checkTraceOffline plus
-/// random-access record scans; O(trace) memory, needs the in-memory
-/// sink).  Kept as the oracle the streaming-parity suite compares
-/// ExecutionChecker against; production code should use
-/// checkExecution().
-OracleReport checkExecutionOffline(const graph::TopologyView& view,
-                                   const core::ProtocolSpec& protocol,
-                                   const mac::MacParams& mac,
-                                   const core::MmbWorkload& workload,
-                                   const sim::Trace& trace,
-                                   const core::RunResult& result);
 
 }  // namespace ammb::check

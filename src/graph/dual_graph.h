@@ -39,9 +39,6 @@ class DualGraph {
   /// The embedding, if this topology was built geometrically.
   const std::optional<Embedding>& embedding() const { return embedding_; }
 
-  /// True iff {u, v} ∈ E (a reliable link).
-  bool isReliableEdge(NodeId u, NodeId v) const { return g_.hasEdge(u, v); }
-
   /// True iff {u, v} ∈ E′ \ E (an unreliable-only link).
   bool isUnreliableOnlyEdge(NodeId u, NodeId v) const {
     return gPrime_.hasEdge(u, v) && !g_.hasEdge(u, v);
@@ -59,9 +56,6 @@ class DualGraph {
   /// edges exactly at distance <= 1, E′ edges at distance <= c.
   /// Returns false when no embedding is stored.
   bool satisfiesGreyZone(double c, double tolerance = 1e-9) const;
-
-  /// Diameter of G (largest component).
-  int diameterG() const { return g_.diameter(); }
 
  private:
   void validate() const;

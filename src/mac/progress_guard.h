@@ -37,8 +37,9 @@
 // earliest need start at or after max(now - Fprog, coveredThrough + 1):
 // no sort, no cover scan, and O(1) while a live cover exists.
 //
-// The same interval algebra, applied offline to a finished trace, is
-// the progress-bound check in trace_checker.h.
+// The checker in trace_checker.h verifies the same need \ cover
+// obligation independently, from the trace, with explicit interval
+// unions (mac/interval_union.h); the guard shares no code with it.
 #pragma once
 
 #include <vector>

@@ -1,11 +1,13 @@
 #include "mac/trace_checker.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <queue>
 #include <set>
-#include <sstream>
 #include <utility>
+
+#include "mac/interval_union.h"
 
 namespace ammb::mac {
 
@@ -13,55 +15,6 @@ namespace {
 
 using sim::TraceKind;
 using sim::TraceRecord;
-
-/// Closed interval [lo, hi], hi == kTimeNever meaning +infinity.
-struct Interval {
-  Time lo;
-  Time hi;
-};
-
-/// Sorts and merges overlapping/adjacent intervals.
-std::vector<Interval> normalize(std::vector<Interval> xs) {
-  std::sort(xs.begin(), xs.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> out;
-  for (const Interval& x : xs) {
-    if (x.hi != kTimeNever && x.hi < x.lo) continue;
-    if (!out.empty() && out.back().hi != kTimeNever &&
-        x.lo <= out.back().hi + 1) {
-      out.back().hi = (x.hi == kTimeNever)
-                          ? kTimeNever
-                          : std::max(out.back().hi, x.hi);
-    } else if (!out.empty() && out.back().hi == kTimeNever) {
-      // Everything later is already covered.
-      continue;
-    } else {
-      out.push_back(x);
-    }
-  }
-  return out;
-}
-
-/// First point of `need` not covered by `cover`, or kTimeNever.
-Time firstUncovered(const std::vector<Interval>& needRaw,
-                    const std::vector<Interval>& coverRaw) {
-  const auto need = normalize(needRaw);
-  const auto cover = normalize(coverRaw);
-  for (const Interval& nd : need) {
-    Time t = nd.lo;
-    for (const Interval& cv : cover) {
-      if (nd.hi != kTimeNever && t > nd.hi) break;
-      if (cv.lo > t) break;
-      if (cv.hi == kTimeNever) {
-        t = kTimeNever;
-        break;
-      }
-      if (cv.hi >= t) t = cv.hi + 1;
-    }
-    if (t != kTimeNever && (nd.hi == kTimeNever || t <= nd.hi)) return t;
-  }
-  return kTimeNever;
-}
 
 /// An interval union that re-normalizes itself as it grows.
 /// normalize() computes the canonical form of the *point-set union*,
@@ -82,292 +35,19 @@ struct IntervalAcc {
   }
 };
 
-/// Reconstructed per-instance facts (offline reference checker).
-struct InstanceFacts {
-  NodeId sender = kNoNode;
-  Time bcastAt = 0;
-  std::size_t bcastIdx = 0;
-  bool terminated = false;
-  bool aborted = false;
-  Time termAt = kTimeNever;
-  std::size_t termIdx = 0;
-  std::vector<std::pair<NodeId, std::size_t>> rcvs;  // (receiver, index)
-  std::vector<Time> rcvTimes;
-};
-
-class OfflineChecker {
- public:
-  OfflineChecker(const graph::TopologyView& view, const MacParams& params,
-                 const sim::Trace& trace, Time horizon)
-      : view_(view), params_(params), trace_(trace), horizon_(horizon) {}
-
-  CheckResult run() {
-    scan();
-    checkPerInstance();
-    checkProgress();
-    return std::move(result_);
-  }
-
- private:
-  void fail(std::string axiom, InstanceId instance, NodeId node, Time time,
-            const std::string& msg) {
-    result_.ok = false;
-    result_.violations.push_back(msg);
-    result_.records.push_back(
-        Violation{std::move(axiom), instance, node, time, msg});
-  }
-
-  void scan() {
-    // busy_[v] tracks the outstanding instance of node v, enforcing
-    // user well-formedness in stream order.
-    std::map<NodeId, InstanceId> busy;
-    const auto& recs = trace_.records();
-    for (std::size_t idx = 0; idx < recs.size(); ++idx) {
-      const TraceRecord& r = recs[idx];
-      switch (r.kind) {
-        case TraceKind::kBcast: {
-          if (busy.count(r.node) > 0) {
-            fail("well-formedness", r.instance, r.node, r.t,
-                 "well-formedness: node " + std::to_string(r.node) +
-                     " bcast while instance " + std::to_string(busy[r.node]) +
-                     " is outstanding");
-          }
-          busy[r.node] = r.instance;
-          InstanceFacts f;
-          f.sender = r.node;
-          f.bcastAt = r.t;
-          f.bcastIdx = idx;
-          if (!facts_.emplace(r.instance, f).second) {
-            fail("well-formedness", r.instance, r.node, r.t,
-                 "duplicate bcast record for instance " +
-                     std::to_string(r.instance));
-          }
-          break;
-        }
-        case TraceKind::kRcv: {
-          auto it = facts_.find(r.instance);
-          if (it == facts_.end()) {
-            fail("rcv-unknown-instance", r.instance, r.node, r.t,
-                 "rcv for unknown instance " + std::to_string(r.instance));
-            break;
-          }
-          it->second.rcvs.emplace_back(r.node, idx);
-          it->second.rcvTimes.push_back(r.t);
-          break;
-        }
-        case TraceKind::kAck:
-        case TraceKind::kAbort: {
-          auto it = facts_.find(r.instance);
-          if (it == facts_.end()) {
-            fail("term-unknown-instance", r.instance, r.node, r.t,
-                 "termination for unknown instance " +
-                     std::to_string(r.instance));
-            break;
-          }
-          InstanceFacts& f = it->second;
-          if (f.terminated) {
-            fail("term-duplicate", r.instance, r.node, r.t,
-                 "instance " + std::to_string(r.instance) +
-                     " terminated twice");
-          }
-          f.terminated = true;
-          f.aborted = (r.kind == TraceKind::kAbort);
-          f.termAt = r.t;
-          f.termIdx = idx;
-          auto bit = busy.find(r.node);
-          if (bit == busy.end() || bit->second != r.instance) {
-            fail("term-not-outstanding", r.instance, r.node, r.t,
-                 "termination of instance " + std::to_string(r.instance) +
-                     " which is not the outstanding bcast of node " +
-                     std::to_string(r.node));
-          } else {
-            busy.erase(bit);
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-
-  void checkPerInstance() {
-    for (const auto& [id, f] : facts_) {
-      // Receive correctness.
-      std::set<NodeId> seen;
-      for (std::size_t i = 0; i < f.rcvs.size(); ++i) {
-        const auto& [receiver, idx] = f.rcvs[i];
-        const Time at = f.rcvTimes[i];
-        if (receiver == f.sender) {
-          fail("rcv-at-sender", id, receiver, at,
-               "instance " + std::to_string(id) + " delivered to its sender");
-        }
-        // Legality is judged in the epoch the delivery happened: a
-        // link that existed at bcast but had vanished by `at` (or a
-        // crashed endpoint — dead nodes have empty adjacency) makes
-        // the rcv illegal, and vice versa for links that appeared.
-        if (!view_.dualAt(view_.epochAt(at))
-                 .gPrime()
-                 .hasEdge(f.sender, receiver)) {
-          fail("rcv-off-gprime", id, receiver, at,
-               "instance " + std::to_string(id) +
-                   " delivered outside G' (of the epoch at t=" +
-                   std::to_string(at) + ") to node " +
-                   std::to_string(receiver));
-        }
-        if (!seen.insert(receiver).second) {
-          fail("rcv-duplicate", id, receiver, at,
-               "instance " + std::to_string(id) + " delivered twice to node " +
-                   std::to_string(receiver));
-        }
-        if (idx < f.bcastIdx) {
-          fail("rcv-before-bcast", id, receiver, at,
-               "instance " + std::to_string(id) + " rcv precedes its bcast");
-        }
-        if (f.terminated && !f.aborted && idx > f.termIdx) {
-          fail("rcv-after-ack", id, receiver, at,
-               "instance " + std::to_string(id) + " rcv after its ack");
-        }
-        if (f.terminated && f.aborted && at > f.termAt + params_.epsAbort) {
-          fail("rcv-after-abort", id, receiver, at,
-               "instance " + std::to_string(id) +
-                   " rcv more than epsAbort after its abort");
-        }
-      }
-      // Acknowledgment correctness + ack bound.  The guarantee is
-      // quantified over the bcast-epoch G-neighbors whose link stayed
-      // in E (both endpoints alive) for the whole [bcast, ack] window;
-      // a link that dropped mid-flight voids the obligation even if it
-      // later returned (the engine never re-arms a dropped guarantee).
-      if (f.terminated && !f.aborted) {
-        const graph::DualGraph& bcastTopo =
-            view_.dualAt(view_.epochAt(f.bcastAt));
-        for (NodeId j : bcastTopo.g().neighbors(f.sender)) {
-          if (!view_.gEdgeLiveThroughout(f.sender, j, f.bcastAt, f.termAt)) {
-            continue;
-          }
-          bool found = false;
-          for (std::size_t i = 0; i < f.rcvs.size(); ++i) {
-            if (f.rcvs[i].first == j && f.rcvs[i].second < f.termIdx) {
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            fail("ack-before-rcv", id, j, f.termAt,
-                 "instance " + std::to_string(id) +
-                     " acked before G-neighbor " + std::to_string(j) +
-                     " received it");
-          }
-        }
-        if (f.termAt - f.bcastAt > params_.fack) {
-          fail("ack-bound", id, f.sender, f.termAt,
-               "instance " + std::to_string(id) + " violated the ack bound (" +
-                   std::to_string(f.termAt - f.bcastAt) + " > Fack)");
-        }
-      }
-      // Termination.  Strict comparison: an instance whose Fack budget
-      // expires exactly at the horizon may still ack at that instant
-      // (runs stopped mid-tick by solve detection hit this boundary).
-      if (!f.terminated && f.bcastAt + params_.fack < horizon_) {
-        fail("termination", id, f.sender, f.bcastAt + params_.fack,
-             "instance " + std::to_string(id) +
-                 " never terminated although its Fack budget expired before "
-                 "the horizon");
-      }
-    }
-  }
-
-  /// Appends the need intervals of one (instance, receiver) pair: one
-  /// interval per maximal run of epochs throughout which the E-link is
-  /// live, clipped to [bcastAt, termClip].  A window [t, t+Fprog] is
-  /// only owed when it fits inside such a span — the online guard
-  /// stands down at the boundary that takes the link away, and a link
-  /// that (re)appears only obliges from its comeback epoch.
-  void appendNeedSpans(const InstanceFacts& f, NodeId j, Time termClip,
-                       std::vector<Interval>& need) const {
-    const Time fprog = params_.fprog;
-    if (termClip < f.bcastAt) return;
-    const int e2 = view_.epochAt(termClip);
-    int e = view_.epochAt(f.bcastAt);
-    while (e <= e2) {
-      if (!view_.dualAt(e).g().hasEdge(f.sender, j)) {
-        ++e;
-        continue;
-      }
-      int last = e;
-      while (last + 1 <= e2 &&
-             view_.dualAt(last + 1).g().hasEdge(f.sender, j)) {
-        ++last;
-      }
-      const Time lo = std::max(f.bcastAt, view_.epochStart(e));
-      Time hi = termClip;
-      if (last + 1 < view_.epochCount()) {
-        hi = std::min(hi, view_.epochStart(last + 1));
-      }
-      hi -= fprog + 1;
-      if (hi >= lo) need.push_back({lo, hi});
-      e = last + 1;
-    }
-  }
-
-  void checkProgress() {
-    const Time fprog = params_.fprog;
-    for (NodeId j = 0; j < view_.n(); ++j) {
-      std::vector<Interval> need;
-      std::vector<Interval> cover;
-      for (const auto& [id, f] : facts_) {
-        (void)id;
-        const Time term =
-            f.terminated ? f.termAt : std::max(horizon_, f.bcastAt);
-        appendNeedSpans(f, j, std::min(term, horizon_), need);
-        for (std::size_t i = 0; i < f.rcvs.size(); ++i) {
-          if (f.rcvs[i].first != j) continue;
-          const Time d = f.rcvTimes[i];
-          // A receive covers iff it was a contending (E'-link live at
-          // delivery time) instance — the epoch-aware spelling of the
-          // static G'-neighbor filter.
-          if (!view_.dualAt(view_.epochAt(d))
-                   .gPrime()
-                   .hasEdge(f.sender, j)) {
-            continue;
-          }
-          const Time hi = f.terminated ? f.termAt - 1 : kTimeNever;
-          cover.push_back({d - fprog, hi});
-        }
-      }
-      const Time t = firstUncovered(need, cover);
-      if (t != kTimeNever) {
-        fail("progress-bound", kNoInstance, j, t,
-             "progress bound violated at receiver " + std::to_string(j) +
-                 ": window starting at t=" + std::to_string(t) +
-                 " has a broadcasting G-neighbor but no covering rcv");
-      }
-    }
-  }
-
-  const graph::TopologyView& view_;
-  const MacParams& params_;
-  const sim::Trace& trace_;
-  Time horizon_;
-  CheckResult result_;
-  std::map<InstanceId, InstanceFacts> facts_;
-};
-
 }  // namespace
 
 // --- streaming checker -------------------------------------------------------
 //
-// Mirrors the offline reference record for record.  The stream
-// automaton's state per instance lives in `active_` until the
-// terminating event, then briefly in `tombs_` (so deliveries inside
+// The stream automaton's state per instance lives in `active_` until
+// the terminating event, then briefly in `tombs_` (so deliveries inside
 // the epsAbort window — legal for aborts, violations for acks — stay
-// attributable); the per-receiver progress algebra accumulates in
-// IntervalAccs.  Violations are buffered in three tiers so the
-// assembled result is byte-identical to the offline scan /
-// per-instance / progress pass order: stream-order scan violations,
-// per-instance receive + termination buffers keyed by instance id, and
-// the progress sweep at finish().
+// attributable), and finally only as an id in `bcastIds_`; the
+// per-receiver progress algebra accumulates in IntervalAccs.
+// Violations are buffered in three tiers so the assembled result
+// follows the whole-trace scan / per-instance / progress pass order:
+// stream-order scan violations, per-instance receive + termination
+// buffers keyed by instance id, and the progress sweep at finish().
 
 struct TraceChecker::Impl {
   struct Active {
@@ -414,6 +94,32 @@ struct TraceChecker::Impl {
     }
   }
 
+  /// Adds `id` to the bcast-id runs, joining adjacent runs; false when
+  /// it was already there.  Engine ids arrive dense and increasing, so
+  /// the common case extends the last run in place.
+  bool recordBcastId(InstanceId id) {
+    const auto next = bcastIds_.upper_bound(id);
+    if (next != bcastIds_.begin()) {
+      const auto prev = std::prev(next);
+      if (prev->second >= id) return false;
+      if (prev->second + 1 == id) {
+        prev->second = id;
+        if (next != bcastIds_.end() && next->first == id + 1) {
+          prev->second = next->second;
+          bcastIds_.erase(next);
+        }
+        return true;
+      }
+    }
+    InstanceId hi = id;
+    if (next != bcastIds_.end() && next->first == id + 1) {
+      hi = next->second;
+      bcastIds_.erase(next);
+    }
+    bcastIds_.emplace(id, hi);
+    return true;
+  }
+
   void feed(const TraceRecord& r) {
     lastFedT_ = r.t;
     expireTombs(r.t);
@@ -435,7 +141,7 @@ struct TraceChecker::Impl {
                " is outstanding");
     }
     busy_[r.node] = r.instance;
-    if (active_.count(r.instance) > 0 || tombs_.count(r.instance) > 0) {
+    if (!recordBcastId(r.instance)) {
       fail(scanV_, "well-formedness", r.instance, r.node, r.t,
            "duplicate bcast record for instance " +
                std::to_string(r.instance));
@@ -457,74 +163,59 @@ struct TraceChecker::Impl {
   }
 
   void onRcv(const TraceRecord& r) {
-    rcvScratchV_.clear();
-    auto it = active_.find(r.instance);
-    if (it != active_.end()) {
-      Active& a = it->second;
-      if (r.node == a.sender) {
-        fail(rcvScratchV_, "rcv-at-sender", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) +
-                 " delivered to its sender");
-      }
-      const bool onGPrime = view_.dualAt(view_.epochAt(r.t))
-                                .gPrime()
-                                .hasEdge(a.sender, r.node);
-      if (!onGPrime) {
-        fail(rcvScratchV_, "rcv-off-gprime", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) +
-                 " delivered outside G' (of the epoch at t=" +
-                 std::to_string(r.t) + ") to node " + std::to_string(r.node));
-      }
-      if (!a.seen.insert(r.node).second) {
-        fail(rcvScratchV_, "rcv-duplicate", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) +
-                 " delivered twice to node " + std::to_string(r.node));
-      }
-      if (onGPrime) a.covers.emplace_back(r.node, r.t);
-      stashRcvViolations(r.instance, rcvScratchV_);
-      return;
-    }
-    auto tit = tombs_.find(r.instance);
-    if (tit == tombs_.end()) {
+    // The instance is either still active or a tombstone; both carry
+    // the sender and the receivers seen so far.
+    Active* a = nullptr;
+    Tomb* tb = nullptr;
+    if (auto it = active_.find(r.instance); it != active_.end()) {
+      a = &it->second;
+    } else if (auto tit = tombs_.find(r.instance); tit != tombs_.end()) {
+      tb = &tit->second;
+    } else {
       fail(scanV_, "rcv-unknown-instance", r.instance, r.node, r.t,
            "rcv for unknown instance " + std::to_string(r.instance));
       return;
     }
-    Tomb& tb = tit->second;
-    if (r.node == tb.sender) {
+    const NodeId sender = a != nullptr ? a->sender : tb->sender;
+    std::set<NodeId>& seen = a != nullptr ? a->seen : tb->seen;
+    rcvScratchV_.clear();
+    if (r.node == sender) {
       fail(rcvScratchV_, "rcv-at-sender", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " delivered to its sender");
     }
     const bool onGPrime = view_.dualAt(view_.epochAt(r.t))
                               .gPrime()
-                              .hasEdge(tb.sender, r.node);
+                              .hasEdge(sender, r.node);
     if (!onGPrime) {
       fail(rcvScratchV_, "rcv-off-gprime", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " delivered outside G' (of the epoch at t=" +
                std::to_string(r.t) + ") to node " + std::to_string(r.node));
     }
-    if (!tb.seen.insert(r.node).second) {
+    if (!seen.insert(r.node).second) {
       fail(rcvScratchV_, "rcv-duplicate", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " delivered twice to node " + std::to_string(r.node));
     }
-    if (!tb.aborted) {
+    if (tb != nullptr && !tb->aborted) {
       fail(rcvScratchV_, "rcv-after-ack", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) + " rcv after its ack");
     }
-    if (tb.aborted && r.t > tb.termAt + params_.epsAbort) {
+    if (tb != nullptr && tb->aborted && r.t > tb->termAt + params_.epsAbort) {
       fail(rcvScratchV_, "rcv-after-abort", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " rcv more than epsAbort after its abort");
     }
     stashRcvViolations(r.instance, rcvScratchV_);
-    // Post-termination contending deliveries still cover, with the
-    // upper end the termination already fixed.
-    if (onGPrime) {
+    if (!onGPrime) return;
+    if (a != nullptr) {
+      a->covers.emplace_back(r.node, r.t);
+    } else {
+      // Post-termination contending deliveries still cover, with the
+      // upper end the termination already fixed.
       cover_[static_cast<std::size_t>(r.node)].push(
-          {r.t - params_.fprog, tb.termAt - 1});
+          {r.t - params_.fprog, tb->termAt - 1});
     }
   }
 
@@ -603,8 +294,7 @@ struct TraceChecker::Impl {
     }
   }
 
-  /// The offline appendNeedSpans, parameterized by (sender, bcastAt):
-  /// one interval per maximal run of epochs throughout which the
+  /// One interval per maximal run of epochs throughout which the
   /// E-link is live, clipped to [bcastAt, termClip].
   void appendNeedSpans(NodeId sender, Time bcastAt, NodeId j, Time termClip,
                        IntervalAcc& need) const {
@@ -634,8 +324,8 @@ struct TraceChecker::Impl {
 
   /// Flushes one instance's need spans into the per-receiver algebra.
   /// Candidates are the union of the sender's G-neighbors over the
-  /// epochs the window touches — non-neighbors produce no spans in the
-  /// offline all-receivers sweep, so restricting to candidates yields
+  /// epochs the window touches — non-neighbors produce no spans in an
+  /// all-receivers sweep, so restricting to candidates yields
   /// the identical interval multiset at O(degree · epochs) cost.
   void flushNeedSpans(NodeId sender, Time bcastAt, Time termClip) {
     if (termClip < bcastAt) return;
@@ -711,6 +401,9 @@ struct TraceChecker::Impl {
   std::map<NodeId, InstanceId> busy_;
   std::map<InstanceId, Active> active_;
   std::map<InstanceId, Tomb> tombs_;
+  /// Every id ever bcast, as disjoint [lo, hi] runs keyed by lo: a
+  /// bcast reusing an id is a duplicate even after its tomb expired.
+  std::map<InstanceId, InstanceId> bcastIds_;
   /// (expiry time, instance) min-heap; a tomb expires once the stream
   /// moves past termAt + max(epsAbort, Fack).
   std::priority_queue<std::pair<Time, InstanceId>,
@@ -762,18 +455,6 @@ CheckResult checkTrace(const graph::DualGraph& topology,
                        Time horizon) {
   const graph::TopologyView view(topology);
   return checkTrace(view, params, trace, horizon);
-}
-
-CheckResult checkTraceOffline(const graph::TopologyView& view,
-                              const MacParams& params, const sim::Trace& trace,
-                              Time horizon) {
-  AMMB_REQUIRE(trace.enabled(),
-               "checkTrace requires a trace that recorded events");
-  if (horizon == kTimeNever) {
-    horizon = trace.records().empty() ? 0 : trace.records().back().t;
-  }
-  OfflineChecker checker(view, params, trace, horizon);
-  return checker.run();
 }
 
 }  // namespace ammb::mac

@@ -27,8 +27,14 @@
 // traces check without ever materializing.  checkTrace() drives it
 // over a stored trace; attach a TraceChecker to a live Trace
 // (attachConsumer) to check while the run executes.
-// checkTraceOffline() retains the original whole-trace reference
-// implementation; the parity suite pins the two byte-identical.
+//
+// One deliberate divergence from a whole-trace scan: an instance's
+// state is dropped once the stream moves past termAt + max(epsAbort,
+// Fack), leaving only its id in a run-length set of bcast ids.  A later
+// bcast that reuses the id is still a well-formedness violation
+// ("duplicate bcast record"), but rcv/ack/abort records that arrive
+// for an expired instance are reported as rcv-unknown-instance /
+// term-unknown-instance rather than being attributed to it.
 #pragma once
 
 #include <memory>
@@ -127,14 +133,5 @@ CheckResult checkTrace(const graph::TopologyView& view,
 CheckResult checkTrace(const graph::DualGraph& topology,
                        const MacParams& params, const sim::Trace& trace,
                        Time horizon = kTimeNever);
-
-/// The original whole-trace reference implementation (random access
-/// over trace.records(), O(trace) memory).  Kept as the oracle the
-/// streaming-parity suite compares TraceChecker against; production
-/// code should use checkTrace().
-CheckResult checkTraceOffline(const graph::TopologyView& view,
-                              const MacParams& params,
-                              const sim::Trace& trace,
-                              Time horizon = kTimeNever);
 
 }  // namespace ammb::mac

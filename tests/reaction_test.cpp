@@ -142,6 +142,26 @@ TEST(ReactionOracle, FinalEpochConnectivityScoping) {
       graph::TopologyView(base, healed)));
 }
 
+TEST(ReactionOracle, ReactsToChurnFollowsEachProtocolsReaction) {
+  ReactionSpec retransmit;
+  retransmit.kind = ReactionSpec::Kind::kRetransmit;
+  ReactionSpec remis;
+  remis.kind = ReactionSpec::Kind::kRetransmitRemis;
+
+  // BMMB claims progress under any reaction but kNone.
+  EXPECT_FALSE(check::reactsToChurn(core::bmmbProtocol()));
+  EXPECT_TRUE(check::reactsToChurn(
+      core::bmmbProtocol(core::QueueDiscipline::kFifo, retransmit)));
+  EXPECT_TRUE(check::reactsToChurn(
+      core::bmmbProtocol(core::QueueDiscipline::kFifo, remis)));
+
+  // FMMB only under kRetransmitRemis: plain kRetransmit is a no-op there.
+  const auto params = core::FmmbParams::make(8);
+  EXPECT_FALSE(check::reactsToChurn(core::fmmbProtocol(params)));
+  EXPECT_FALSE(check::reactsToChurn(core::fmmbProtocol(params, retransmit)));
+  EXPECT_TRUE(check::reactsToChurn(core::fmmbProtocol(params, remis)));
+}
+
 TEST(ReactionBudget, FuzzTimeBudgetClampsInsteadOfOverflowing) {
   EXPECT_EQ(check::bmmbFuzzTimeBudget(8, 2, 32),
             Time{8} * (8 + 2) * 32 + 4096);

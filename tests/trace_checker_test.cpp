@@ -1,9 +1,14 @@
-// Unit tests for the offline model checker: every axiom's violation is
-// detected on hand-built traces, and real engine traces pass.
+// Unit tests for the streaming MAC-axiom checker: every axiom's
+// violation is detected on hand-built traces.  Every hand-built trace
+// but the id-reuse one (a documented divergence) is checked through
+// checkTraceWithParity, which also pins the streaming verdict to the
+// whole-trace reference, violation for violation, on an in-memory and
+// a spooled copy.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "mac/trace_checker.h"
+#include "support/offline_reference.h"
 #include "test_util.h"
 
 namespace ammb::mac {
@@ -27,7 +32,7 @@ Trace validSingleHop() {
 
 TEST(TraceChecker, AcceptsValidExecution) {
   const auto topo = gen::identityDual(gen::line(2));
-  const auto res = checkTrace(topo, stdParams(), validSingleHop());
+  const auto res = checkTraceWithParity(topo, stdParams(), validSingleHop());
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -36,7 +41,7 @@ TEST(TraceChecker, DetectsDoubleBcast) {
   Trace t;
   t.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({1, TraceKind::kBcast, 0, 1, kNoMsg});  // no intervening ack
-  const auto res = checkTrace(topo, stdParams(), t);
+  const auto res = checkTraceWithParity(topo, stdParams(), t);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.summary().find("well-formedness"), std::string::npos);
 }
@@ -48,7 +53,7 @@ TEST(TraceChecker, DetectsDeliveryOutsideGPrime) {
   t.add({1, TraceKind::kRcv, 2, 0, kNoMsg});  // node 2 is 2 hops away
   t.add({2, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({3, TraceKind::kAck, 0, 0, kNoMsg});
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, DetectsDuplicateDelivery) {
@@ -58,7 +63,7 @@ TEST(TraceChecker, DetectsDuplicateDelivery) {
   t.add({1, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({2, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({3, TraceKind::kAck, 0, 0, kNoMsg});
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, DetectsRcvAfterAck) {
@@ -70,7 +75,7 @@ TEST(TraceChecker, DetectsRcvAfterAck) {
   t.add({1, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({2, TraceKind::kAck, 0, 0, kNoMsg});
   t.add({3, TraceKind::kRcv, 1, 0, kNoMsg});  // after ack AND duplicate
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, DetectsAckBeforeGNeighborReceives) {
@@ -79,7 +84,7 @@ TEST(TraceChecker, DetectsAckBeforeGNeighborReceives) {
   t.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({1, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({2, TraceKind::kAck, 0, 0, kNoMsg});  // node 2 never received
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, DetectsAckBoundViolation) {
@@ -88,7 +93,7 @@ TEST(TraceChecker, DetectsAckBoundViolation) {
   t.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({4, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({33, TraceKind::kAck, 0, 0, kNoMsg});  // fack = 32
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, DetectsMissingTermination) {
@@ -97,19 +102,20 @@ TEST(TraceChecker, DetectsMissingTermination) {
   t.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({4, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({100, TraceKind::kWake, 1, kNoInstance, kNoMsg});  // horizon marker
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
   // Within the Fack budget the open instance is fine.
   Trace young;
   young.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   young.add({4, TraceKind::kRcv, 1, 0, kNoMsg});
-  EXPECT_TRUE(checkTrace(topo, stdParams(), young, /*horizon=*/10).ok);
+  EXPECT_TRUE(
+      checkTraceWithParity(topo, stdParams(), young, /*horizon=*/10).ok);
 }
 
 TEST(TraceChecker, DetectsDoubleTermination) {
   const auto topo = gen::identityDual(gen::line(2));
   Trace t = validSingleHop();
   t.add({32, TraceKind::kAck, 0, 0, kNoMsg});
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, DetectsProgressViolation) {
@@ -119,7 +125,7 @@ TEST(TraceChecker, DetectsProgressViolation) {
   t.add({32, TraceKind::kRcv, 1, 0, kNoMsg});  // first rcv at fack
   t.add({32, TraceKind::kAck, 0, 0, kNoMsg});
   // Window [0, 5] has a broadcasting G-neighbor and no rcv: violation.
-  const auto res = checkTrace(topo, stdParams(), t);
+  const auto res = checkTraceWithParity(topo, stdParams(), t);
   ASSERT_FALSE(res.ok);
   EXPECT_NE(res.summary().find("progress"), std::string::npos);
 }
@@ -129,7 +135,7 @@ TEST(TraceChecker, ProgressSatisfiedByEarlyRcvFromLiveInstance) {
   // One rcv at fprog covers the rest of the instance's lifetime: the
   // delivering instance stays unterminated, so every later window still
   // contains a contending rcv "by its end".
-  const auto res = checkTrace(topo, stdParams(), validSingleHop());
+  const auto res = checkTraceWithParity(topo, stdParams(), validSingleHop());
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -156,7 +162,7 @@ TEST(TraceChecker, ProgressCoverageEndsWhenCoveringInstanceTerminates) {
   t.add({64, TraceKind::kAck, 0, 0, kNoMsg});
   // Coverage from the junk rcv ends at t=9; windows starting in
   // [10, 64-4-1] are uncovered: violation.
-  const auto res = checkTrace(topo, params, t);
+  const auto res = checkTraceWithParity(topo, params, t);
   ASSERT_FALSE(res.ok);
   EXPECT_NE(res.summary().find("progress"), std::string::npos);
 
@@ -171,7 +177,7 @@ TEST(TraceChecker, ProgressCoverageEndsWhenCoveringInstanceTerminates) {
   t2.add({64, TraceKind::kRcv, 1, 0, kNoMsg});
   t2.add({64, TraceKind::kAck, 0, 0, kNoMsg});
   t2.add({74, TraceKind::kAck, 2, 2, kNoMsg});
-  const auto res2 = checkTrace(topo, params, t2);
+  const auto res2 = checkTraceWithParity(topo, params, t2);
   EXPECT_TRUE(res2.ok) << res2.summary();
 }
 
@@ -183,12 +189,12 @@ TEST(TraceChecker, AbortAllowsGracePeriodDeliveries) {
   t.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({1, TraceKind::kAbort, 0, 0, kNoMsg});
   t.add({3, TraceKind::kRcv, 1, 0, kNoMsg});  // within epsAbort
-  EXPECT_TRUE(checkTrace(topo, params, t).ok);
+  EXPECT_TRUE(checkTraceWithParity(topo, params, t).ok);
   Trace late;
   late.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   late.add({1, TraceKind::kAbort, 0, 0, kNoMsg});
   late.add({4, TraceKind::kRcv, 1, 0, kNoMsg});  // beyond epsAbort
-  EXPECT_FALSE(checkTrace(topo, params, late).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, params, late).ok);
 }
 
 TEST(TraceChecker, AbortedInstanceNeedsNoAck) {
@@ -196,14 +202,56 @@ TEST(TraceChecker, AbortedInstanceNeedsNoAck) {
   Trace t;
   t.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({1, TraceKind::kAbort, 0, 0, kNoMsg});
-  EXPECT_TRUE(checkTrace(topo, stdParams(), t, /*horizon=*/100).ok);
+  EXPECT_TRUE(checkTraceWithParity(topo, stdParams(), t, /*horizon=*/100).ok);
+}
+
+TEST(TraceChecker, DetectsInstanceIdReusedAfterItsTombstoneExpired) {
+  // The first incarnation of instance 0 acks at 32; its state expires
+  // once the stream passes 32 + max(epsAbort, Fack) = 64.  A bcast
+  // that reuses the id at 100 is still a duplicate bcast record; the
+  // records that follow belong to no live instance.  (The whole-trace
+  // reference attributes them to the first incarnation instead, so
+  // this trace is checked without the parity wrapper.)
+  const auto topo = gen::identityDual(gen::line(2));
+  Trace t = validSingleHop();
+  t.add({100, TraceKind::kBcast, 0, 0, kNoMsg});
+  t.add({104, TraceKind::kRcv, 1, 0, kNoMsg});
+  t.add({132, TraceKind::kAck, 0, 0, kNoMsg});
+  const auto res = checkTrace(topo, stdParams(4, 32), t);
+  ASSERT_FALSE(res.ok);
+  ASSERT_EQ(res.records.size(), 3u) << res.summary();
+  EXPECT_EQ(res.records[0].axiom, "well-formedness");
+  EXPECT_EQ(res.records[0].instance, 0);
+  EXPECT_EQ(res.records[0].node, 0);
+  EXPECT_EQ(res.records[0].time, 100);
+  EXPECT_EQ(res.records[0].detail, "duplicate bcast record for instance 0");
+  EXPECT_EQ(res.records[1].axiom, "rcv-unknown-instance");
+  EXPECT_EQ(res.records[1].time, 104);
+  EXPECT_EQ(res.records[2].axiom, "term-unknown-instance");
+  EXPECT_EQ(res.records[2].time, 132);
+}
+
+TEST(TraceChecker, DetectsInstanceIdReusedWhileItsTombstoneLives) {
+  // The same reuse as above, but at 40, before the first incarnation's
+  // state expires at 64: the streaming checker still holds its
+  // tombstone, and the verdict matches the whole-trace reference.
+  const auto topo = gen::identityDual(gen::line(2));
+  Trace t = validSingleHop();
+  t.add({40, TraceKind::kBcast, 0, 0, kNoMsg});
+  const auto res = checkTraceWithParity(topo, stdParams(4, 32), t);
+  ASSERT_FALSE(res.ok);
+  ASSERT_FALSE(res.records.empty());
+  EXPECT_EQ(res.records[0].axiom, "well-formedness");
+  EXPECT_EQ(res.records[0].instance, 0);
+  EXPECT_EQ(res.records[0].time, 40);
+  EXPECT_EQ(res.records[0].detail, "duplicate bcast record for instance 0");
 }
 
 TEST(TraceChecker, RcvForUnknownInstance) {
   const auto topo = gen::identityDual(gen::line(2));
   Trace t;
   t.add({1, TraceKind::kRcv, 1, 42, kNoMsg});
-  EXPECT_FALSE(checkTrace(topo, stdParams(), t).ok);
+  EXPECT_FALSE(checkTraceWithParity(topo, stdParams(), t).ok);
 }
 
 TEST(TraceChecker, RcvExactlyAtTheEpsAbortBoundary) {
@@ -216,14 +264,14 @@ TEST(TraceChecker, RcvExactlyAtTheEpsAbortBoundary) {
   boundary.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   boundary.add({2, TraceKind::kAbort, 0, 0, kNoMsg});
   boundary.add({5, TraceKind::kRcv, 1, 0, kNoMsg});  // t = termAt + epsAbort
-  const auto ok = checkTrace(topo, params, boundary);
+  const auto ok = checkTraceWithParity(topo, params, boundary);
   EXPECT_TRUE(ok.ok) << ok.summary();
 
   Trace past;
   past.add({0, TraceKind::kBcast, 0, 0, kNoMsg});
   past.add({2, TraceKind::kAbort, 0, 0, kNoMsg});
   past.add({6, TraceKind::kRcv, 1, 0, kNoMsg});  // one tick beyond
-  const auto bad = checkTrace(topo, params, past);
+  const auto bad = checkTraceWithParity(topo, params, past);
   ASSERT_FALSE(bad.ok);
   ASSERT_EQ(bad.records.size(), 1u);
   EXPECT_EQ(bad.records[0].axiom, "rcv-after-abort");
@@ -241,11 +289,11 @@ TEST(TraceChecker, InFlightInstanceWithExpiredFackBudgetAtHorizon) {
 
   // Budget expires exactly at the horizon: still legal (the ack may
   // land on the closing tick of the observation window).
-  EXPECT_TRUE(checkTrace(topo, params, t, /*horizon=*/32).ok);
+  EXPECT_TRUE(checkTraceWithParity(topo, params, t, /*horizon=*/32).ok);
 
   // One tick past the budget: the instance can no longer terminate in
   // time — a termination violation with the expiry timestamp.
-  const auto res = checkTrace(topo, params, t, /*horizon=*/33);
+  const auto res = checkTraceWithParity(topo, params, t, /*horizon=*/33);
   ASSERT_FALSE(res.ok);
   ASSERT_EQ(res.records.size(), 1u);
   EXPECT_EQ(res.records[0].axiom, "termination");
@@ -260,7 +308,7 @@ TEST(TraceChecker, NeverHorizonOnAnEmptyTrace) {
   // the verdict is a clean pass, not an out-of-range access.
   const auto topo = gen::identityDual(gen::line(3));
   const Trace empty;
-  const auto res = checkTrace(topo, stdParams(), empty, kTimeNever);
+  const auto res = checkTraceWithParity(topo, stdParams(), empty, kTimeNever);
   EXPECT_TRUE(res.ok);
   EXPECT_TRUE(res.violations.empty());
   EXPECT_TRUE(res.records.empty());
@@ -286,7 +334,7 @@ TEST(TraceChecker, StructuredRecordsParallelTheMessages) {
   t.add({1, TraceKind::kRcv, 2, 0, kNoMsg});  // outside G'
   t.add({2, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({40, TraceKind::kAck, 0, 0, kNoMsg});  // past Fack = 32
-  const auto res = checkTrace(topo, stdParams(), t);
+  const auto res = checkTraceWithParity(topo, stdParams(), t);
   ASSERT_FALSE(res.ok);
   ASSERT_EQ(res.records.size(), res.violations.size());
   bool sawOffGPrime = false;

@@ -3,7 +3,8 @@
 // byte-identically to the in-memory vector (tolerating a torn tail,
 // rejecting mid-record corruption); the Trace facade's tee feeds live
 // consumers the exact committed sequence; the streaming oracles are
-// byte-identical to their whole-trace offline references; and whole
+// byte-identical to their whole-trace references (tests/support), on
+// clean runs and under every CI mutation campaign; and whole
 // executions — every committed golden case — are bit-identical across
 // trace modes at 1, 4 and 8 parallel workers, honest and mutated
 // alike.
@@ -15,6 +16,7 @@
 
 #include <unistd.h>
 
+#include "check/fuzzer.h"
 #include "check/golden.h"
 #include "check/mutation.h"
 #include "check/oracles.h"
@@ -24,6 +26,7 @@
 #include "phys/measurement.h"
 #include "runner/sweep_runner.h"
 #include "sim/trace_sink.h"
+#include "support/offline_reference.h"
 #include "test_util.h"
 
 namespace ammb {
@@ -251,12 +254,39 @@ TEST(TracePipelineFacade, AttachedConsumersSeeTheCommittedSequence) {
   EXPECT_EQ(hasher.hash(), check::traceHash(disabled));  // both empty
 }
 
-// --- streaming oracles vs their offline references ---------------------------
+// --- streaming oracles vs their whole-trace references -----------------------
 
-// One adversarially scheduled grey-zone run with the trace in memory:
-// every streaming checker must be byte-identical to its whole-trace
-// offline reference, and replaying the same records through a spool
-// must change nothing.
+// Checks one finished execution with the streaming oracle stack, on an
+// in-memory and on a spooled copy of its records, and expects the
+// whole-trace reference's report field for field: every message and
+// every MAC Violation record.  Returns the reference report.
+check::OracleReport expectStreamingMatchesReference(
+    const core::Experiment& experiment, const core::ProtocolSpec& protocol,
+    const mac::MacParams& params, const core::MmbWorkload& workload,
+    const core::RunResult& result, const std::string& what) {
+  Trace mem(true, TraceMode::mem());
+  Trace spool(true, TraceMode::spool(64));
+  experiment.trace().forEach([&](const TraceRecord& r) {
+    mem.add(r);
+    spool.add(r);
+  });
+  const check::OracleReport reference = check::checkExecutionOffline(
+      experiment.view(), protocol, params, workload, mem, result);
+  for (const Trace* t : {&mem, &spool}) {
+    check::expectSameReport(
+        check::checkExecution(experiment.view(), protocol, params, workload,
+                              *t, result),
+        reference, what + " @ " + t->mode().label());
+  }
+  return reference;
+}
+
+// One adversarially scheduled grey-zone run, then the four mutation
+// campaigns CI runs through ammb_fuzz (the same sampled cases, run
+// under the same broken schedulers): the streaming oracles must report
+// exactly what the whole-trace references report, violations included.
+// The hand-built traces of trace_checker_test.cpp go through the same
+// comparison one level down, via checkTraceWithParity.
 TEST(TracePipelineParity, StreamingOraclesMatchOfflineReferences) {
   Rng rng(7);
   const graph::DualGraph base = gen::greyZoneField(24, 5.0, 1.5, 0.4, rng);
@@ -269,41 +299,54 @@ TEST(TracePipelineParity, StreamingOraclesMatchOfflineReferences) {
   core::Experiment experiment(base, core::bmmbProtocol(), workload, config);
   const core::RunResult result = experiment.run();
   ASSERT_TRUE(result.solved);
-  const sim::Trace& trace = experiment.trace();
+  const check::OracleReport clean = expectStreamingMatchesReference(
+      experiment, core::bmmbProtocol(), config.mac, workload, result,
+      "grey-zone run");
+  EXPECT_TRUE(clean.ok) << clean.summary();
 
-  // A spool copy of the identical record sequence.
-  sim::Trace spoolCopy(true, TraceMode::spool(64));
-  trace.forEach([&](const TraceRecord& r) { spoolCopy.add(r); });
-  ASSERT_EQ(spoolCopy.size(), trace.size());
-
-  // MAC axioms: streaming == offline, on both storage backends.
-  const mac::CheckResult offline = mac::checkTraceOffline(
-      experiment.view(), config.mac, trace, result.endTime);
-  for (const sim::Trace* t :
-       std::initializer_list<const sim::Trace*>{&trace, &spoolCopy}) {
-    const mac::CheckResult streaming =
-        mac::checkTrace(experiment.view(), config.mac, *t, result.endTime);
-    EXPECT_EQ(streaming.ok, offline.ok);
-    EXPECT_EQ(streaming.violations, offline.violations);
+  struct Campaign {
+    SchedulerMutation mutation;
+    std::uint64_t seed;
+    int iterations;
+  };
+  for (const Campaign& campaign :
+       {Campaign{SchedulerMutation::kLateAck, 3, 12},
+        Campaign{SchedulerMutation::kOffGPrime, 4, 12},
+        Campaign{SchedulerMutation::kStaleTopology, 5, 12},
+        Campaign{SchedulerMutation::kDropOnRecovery, 6, 15}}) {
+    check::FuzzSpec spec;
+    spec.masterSeed = campaign.seed;
+    spec.iterations = campaign.iterations;
+    spec.protocols = {core::ProtocolKind::kBmmb};
+    spec.mutation = campaign.mutation;
+    int violating = 0;
+    for (int i = 0; i < spec.iterations; ++i) {
+      const FuzzCase c = check::sampleCase(spec, i);
+      const graph::DualGraph topology = check::buildTopology(c);
+      const auto arrivals = check::buildArrivals(c, topology.n());
+      const core::MmbWorkload caseWorkload =
+          core::materializeWorkload(*arrivals);
+      const core::RunConfig caseConfig =
+          check::runConfigFor(c, campaign.mutation);
+      const core::ProtocolSpec protocol =
+          check::protocolSpecFor(c, topology.n());
+      core::Experiment run(topology, protocol, *arrivals, caseConfig);
+      const core::RunResult caseResult = run.run();
+      const check::OracleReport reference = expectStreamingMatchesReference(
+          run, protocol, core::effectiveMacParams(caseConfig), caseWorkload,
+          caseResult, check::toString(campaign.mutation) + " " +
+                          check::toString(c));
+      if (!reference.ok) ++violating;
+    }
+    // The comparison must have had violations to compare.
+    EXPECT_GT(violating, 0) << check::toString(campaign.mutation);
   }
-
-  // Full oracle stack: streaming == offline, on both storage backends.
-  const check::OracleReport offlineReport =
-      check::checkExecutionOffline(experiment.view(), core::bmmbProtocol(),
-                                   config.mac, workload, trace, result);
-  for (const sim::Trace* t :
-       std::initializer_list<const sim::Trace*>{&trace, &spoolCopy}) {
-    const check::OracleReport streaming =
-        check::checkExecution(experiment.view(), core::bmmbProtocol(),
-                              config.mac, workload, *t, result);
-    EXPECT_EQ(streaming.ok, offlineReport.ok);
-    EXPECT_EQ(streaming.violations, offlineReport.violations);
-    EXPECT_EQ(streaming.macRecords.size(), offlineReport.macRecords.size());
-  }
-  EXPECT_TRUE(offlineReport.ok) << offlineReport.summary();
 
   // Realized-bounds measurement: the histogram accumulator equals the
   // sorted-vector rule regardless of which sink replays the records.
+  const sim::Trace& trace = experiment.trace();
+  sim::Trace spoolCopy(true, TraceMode::spool(64));
+  trace.forEach([&](const TraceRecord& r) { spoolCopy.add(r); });
   const phys::RealizedBounds fromMem =
       phys::measureRealized(experiment.view(), config.mac, trace,
                             result.endTime);
