@@ -35,7 +35,8 @@ MisRun runMis(int n, double c, std::uint64_t seed) {
   auto params = FmmbParams::make(topo.n(), c);
   MisSuite suite(params);
   const auto macParams = bench::enhParams(kFprog, kFack);
-  mac::MacEngine engine(topo, macParams,
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, macParams,
                         std::make_unique<mac::RandomScheduler>(),
                         suite.factory(), seed, /*traceEnabled=*/false);
   const Time roundLen = macParams.fprog + 1;

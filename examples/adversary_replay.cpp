@@ -75,7 +75,7 @@ int main() {
       crossDeliveries);
 
   const auto check =
-      mac::checkTrace(topology, config.mac, experiment.engine().trace());
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   std::printf("\nmodel axioms on this adversarial execution: %s\n",
               check.ok ? "all hold" : check.summary().c_str());
   return check.ok && result.solved ? 0 : 1;

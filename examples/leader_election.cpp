@@ -46,7 +46,8 @@ int main() {
         break;
     }
     core::MaxFloodSuite suite;
-    mac::MacEngine engine(field, params, std::move(scheduler),
+    const graph::TopologyView view(field);
+    mac::MacEngine engine(view, params, std::move(scheduler),
                           suite.factory(), 5);
     engine.run();
 
@@ -57,7 +58,7 @@ int main() {
       if (leader < 0) leader = b;
       agree = agree && (b == leader);
     }
-    const auto check = mac::checkTrace(field, params, engine.trace());
+    const auto check = mac::checkTrace(view, params, engine.trace());
     std::printf("%-16s %14lld %12llu %12lld%s%s\n", names[s],
                 static_cast<long long>(engine.now()),
                 static_cast<unsigned long long>(engine.stats().bcasts),

@@ -24,7 +24,8 @@ int main() {
   macParams.fprog = 4;
   macParams.fack = 64;
   macParams.variant = mac::ModelVariant::kEnhanced;
-  mac::MacEngine engine(field, macParams,
+  const graph::TopologyView view(field);
+  mac::MacEngine engine(view, macParams,
                         std::make_unique<mac::RandomScheduler>(),
                         suite.factory(), 7, /*traceEnabled=*/false);
   const Time roundLen = macParams.fprog + 1;

@@ -67,7 +67,7 @@ int main() {
 
   // Every execution can be re-validated against the MAC model axioms.
   const auto check =
-      mac::checkTrace(topology, config.mac, experiment.engine().trace());
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   std::printf("model axioms: %s\n", check.ok ? "all hold" : "VIOLATED");
 
   // Peek at the first few trace events.

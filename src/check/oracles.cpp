@@ -184,14 +184,4 @@ OracleReport checkExecution(const graph::TopologyView& view,
   return checker.finish(result);
 }
 
-OracleReport checkExecution(const graph::DualGraph& topology,
-                            const core::ProtocolSpec& protocol,
-                            const mac::MacParams& mac,
-                            const core::MmbWorkload& workload,
-                            const sim::Trace& trace,
-                            const core::RunResult& result) {
-  const graph::TopologyView view(topology);
-  return checkExecution(view, protocol, mac, workload, trace, result);
-}
-
 }  // namespace ammb::check

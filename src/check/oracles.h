@@ -122,12 +122,4 @@ OracleReport checkExecution(const graph::TopologyView& view,
                             const sim::Trace& trace,
                             const core::RunResult& result);
 
-/// Static-topology convenience (single-epoch view over `topology`).
-OracleReport checkExecution(const graph::DualGraph& topology,
-                            const core::ProtocolSpec& protocol,
-                            const mac::MacParams& mac,
-                            const core::MmbWorkload& workload,
-                            const sim::Trace& trace,
-                            const core::RunResult& result);
-
 }  // namespace ammb::check

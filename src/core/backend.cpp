@@ -6,7 +6,7 @@ namespace ammb::core {
 
 std::string ExecutionBackend::label() const {
   if (kind == Kind::kSim) return "sim";
-  if (net == NetBackendParams{}) return "net";
+  if (net == mac::NetBackendParams{}) return "net";
   char text[128];
   std::snprintf(text, sizeof(text), "net:%d,%g,%lld,%d,%lld,%lld",
                 net.basePort, net.loss, static_cast<long long>(net.tickUs),
@@ -17,10 +17,10 @@ std::string ExecutionBackend::label() const {
 
 ExecutionBackend ExecutionBackend::fromLabel(const std::string& label) {
   if (label == "sim") return simBackend();
-  if (label == "net") return netWith(NetBackendParams{});
+  if (label == "net") return netWith(mac::NetBackendParams{});
   const std::string prefix = "net:";
   if (label.rfind(prefix, 0) == 0) {
-    NetBackendParams params;
+    mac::NetBackendParams params;
     long long tickUs = 0;
     long long ackDelay = 0;
     long long jitterUs = 0;

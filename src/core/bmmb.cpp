@@ -85,7 +85,7 @@ void BmmbProcess::maybeSend(mac::Context& ctx) {
   ctx.bcast(std::move(packet));
 }
 
-mac::MacEngine::ProcessFactory BmmbSuite::factory() {
+mac::MacLayer::ProcessFactory BmmbSuite::factory() {
   return [this](NodeId node) {
     auto p = std::make_unique<BmmbProcess>(discipline_, reaction_);
     byNode_[node] = p.get();

@@ -93,8 +93,8 @@ class BmmbSuite : public mac::ProtocolOracle {
                      ReactionSpec reaction = {})
       : discipline_(discipline), reaction_(reaction) {}
 
-  /// Factory to hand to MacEngine; registers each created process.
-  mac::MacEngine::ProcessFactory factory();
+  /// Factory to hand to a MacLayer; registers each created process.
+  mac::MacLayer::ProcessFactory factory();
 
   /// The process of `node`; valid once the engine was constructed.
   const BmmbProcess& process(NodeId node) const;

@@ -143,8 +143,7 @@ Experiment::Experiment(const graph::DualGraph& topology,
                        const ProtocolSpec& protocol,
                        std::unique_ptr<ArrivalProcess> owned,
                        ArrivalProcess* external, const RunConfig& config)
-    : topology_(topology),
-      protocol_(protocol),
+    : protocol_(protocol),
       config_(config),
       view_(topology, config.dynamics.build(topology, config.seed)),
       ownedArrivals_(std::move(owned)),
@@ -155,7 +154,7 @@ Experiment::Experiment(const graph::DualGraph& topology,
     AMMB_REQUIRE(config_.mac.variant == mac::ModelVariant::kEnhanced,
                  "FMMB requires the enhanced abstract MAC layer model");
   }
-  const mac::MacEngine::ProcessFactory factory =
+  const mac::MacLayer::ProcessFactory factory =
       std::visit([](auto& suite) { return suite.factory(); }, suite_);
   if (!config_.backend.sim()) {
     // The net backend runs the same automata over UDP sockets; real
@@ -169,106 +168,65 @@ Experiment::Experiment(const graph::DualGraph& topology,
     AMMB_REQUIRE(!config_.scheduler.factory,
                  "custom schedulers have no meaning on the net backend");
     net::NetConfig netConfig;
-    netConfig.basePort = config_.backend.net.basePort;
-    netConfig.loss = config_.backend.net.loss;
-    netConfig.tickUs = config_.backend.net.tickUs;
-    netConfig.gPrimeAttempts = config_.backend.net.gPrimeAttempts;
-    netConfig.ackDelayTicks = config_.backend.net.ackDelayTicks;
-    netConfig.jitterUs = config_.backend.net.jitterUs;
+    netConfig.net = config_.backend.net;
     netConfig.seed = config_.seed;
     netConfig.recordTrace = config_.recordTrace;
     netConfig.traceMode = config_.traceMode;
-    netEngine_ = std::make_unique<net::NetEngine>(view_, config_.mac, factory,
-                                                  netConfig);
-    tracker_.attachStop([this] { netEngine_->requestStop(); },
-                        config_.limits.stopOnSolve);
-    netEngine_->setArriveHook([this](NodeId node, MsgId msg, Time at) {
-      tracker_.onArrive(node, msg, at);
-    });
-    netEngine_->setDeliverHook([this](NodeId node, MsgId msg, Time at) {
-      tracker_.onDeliver(node, msg, at);
-    });
-    netEngine_->setArrivalSource(
-        [this]() -> std::optional<net::NetEngine::ArrivalEvent> {
-          const std::optional<Arrival> arrival = arrivals_->next();
-          if (!arrival.has_value()) {
-            tracker_.markArrivalsComplete(netEngine_->now());
-            return std::nullopt;
-          }
-          return net::NetEngine::ArrivalEvent{arrival->node, arrival->msg,
-                                              arrival->at};
-        });
-    return;
-  }
-  // A physical realization replaces the scheduler axis: contention
-  // rounds, not a SchedulerKind, decide the timing.  The engine runs
-  // under the realization's analytic envelope so every
-  // physically-derived plan is accepted online.  Custom factories
-  // (mutation fixtures) win over the realization — they are the
-  // scheduler under test.
-  config_.mac = effectiveMacParams(config_);
-  std::unique_ptr<mac::Scheduler> scheduler;
-  if (!config_.realization.abstract() && !config_.scheduler.factory) {
-    scheduler = std::make_unique<phys::PhysScheduler>(config_.realization.csma);
-  } else if (config_.scheduler.factory) {
-    scheduler = config_.scheduler.factory();
+    layer_ = std::make_unique<net::NetEngine>(view_, config_.mac, factory,
+                                              netConfig);
   } else {
-    scheduler = makeScheduler(config_.scheduler.kind,
-                              config_.scheduler.lowerBoundLineLength);
+    // A physical realization replaces the scheduler axis: contention
+    // rounds, not a SchedulerKind, decide the timing.  The engine runs
+    // under the realization's analytic envelope so every
+    // physically-derived plan is accepted online.  Custom factories
+    // (mutation fixtures) win over the realization — they are the
+    // scheduler under test.
+    config_.mac = effectiveMacParams(config_);
+    std::unique_ptr<mac::Scheduler> scheduler;
+    if (!config_.realization.abstract() && !config_.scheduler.factory) {
+      scheduler =
+          std::make_unique<phys::PhysScheduler>(config_.realization.csma);
+    } else if (config_.scheduler.factory) {
+      scheduler = config_.scheduler.factory();
+    } else {
+      scheduler = makeScheduler(config_.scheduler.kind,
+                                config_.scheduler.lowerBoundLineLength);
+    }
+    AMMB_REQUIRE(scheduler != nullptr, "scheduler factory returned null");
+    auto engine = std::make_unique<mac::MacEngine>(
+        view_, config_.mac, std::move(scheduler), factory, config_.seed,
+        config_.recordTrace, config_.traceMode);
+    engine->setPlanValidation(config_.scheduler.validatePlans);
+    engine->setEpochNotification(config_.scheduler.notifyEpochChanges);
+    if (auto* bmmb = std::get_if<BmmbSuite>(&suite_)) engine->setOracle(bmmb);
+    engine_ = engine.get();
+    layer_ = std::move(engine);
   }
-  AMMB_REQUIRE(scheduler != nullptr, "scheduler factory returned null");
-  engine_ = std::make_unique<mac::MacEngine>(
-      view_, config_.mac, std::move(scheduler), factory, config_.seed,
-      config_.recordTrace, config_.traceMode);
-  engine_->setPlanValidation(config_.scheduler.validatePlans);
-  engine_->setEpochNotification(config_.scheduler.notifyEpochChanges);
-  if (auto* bmmb = std::get_if<BmmbSuite>(&suite_)) {
-    engine_->setOracle(bmmb);
-  }
-  tracker_.attach(*engine_, config_.limits.stopOnSolve);
-  engine_->setArrivalSource(
-      [this]() -> std::optional<mac::MacEngine::ArrivalEvent> {
+  tracker_.attach(*layer_, config_.limits.stopOnSolve);
+  layer_->setArrivalSource(
+      [this]() -> std::optional<mac::MacLayer::ArrivalEvent> {
         const std::optional<Arrival> arrival = arrivals_->next();
         if (!arrival.has_value()) {
           // Solve detection must not fire while arrivals are pending:
           // a later arrival of an already-seen message can still add
           // requirements (e.g. in another component of G).
-          tracker_.markArrivalsComplete(engine_->now());
+          tracker_.markArrivalsComplete(layer_->now());
           return std::nullopt;
         }
-        return mac::MacEngine::ArrivalEvent{arrival->node, arrival->msg,
-                                            arrival->at};
+        return mac::MacLayer::ArrivalEvent{arrival->node, arrival->msg,
+                                           arrival->at};
       });
 }
 
 Experiment::~Experiment() = default;
 
-net::NetEngine& Experiment::netEngine() {
-  AMMB_REQUIRE(netEngine_ != nullptr,
-               "this experiment runs on the simulator backend");
-  return *netEngine_;
-}
-
-const sim::Trace& Experiment::trace() const {
-  return netEngine_ != nullptr ? netEngine_->trace() : engine_->trace();
-}
-
-sim::Trace& Experiment::mutableTrace() {
-  return netEngine_ != nullptr ? netEngine_->mutableTrace()
-                               : engine_->mutableTrace();
-}
-
 RunResult Experiment::run() {
-  const sim::RunStatus status =
-      netEngine_ != nullptr
-          ? netEngine_->run(config_.limits.maxTime, config_.limits.maxEvents)
-          : engine_->run(config_.limits.maxTime, config_.limits.maxEvents);
   RunResult result;
+  result.status = layer_->run(config_.limits.maxTime, config_.limits.maxEvents);
   result.solved = tracker_.solved();
   result.solveTime = tracker_.solved() ? tracker_.solveTime() : kTimeNever;
-  result.endTime = netEngine_ != nullptr ? netEngine_->now() : engine_->now();
-  result.status = status;
-  result.stats = netEngine_ != nullptr ? netEngine_->stats() : engine_->stats();
+  result.endTime = layer_->now();
+  result.stats = layer_->stats();
   result.messages = tracker_.metrics();
   result.retransmits =
       std::visit([](auto& s) { return s.totalRetransmits(); }, suite_);

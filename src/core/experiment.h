@@ -30,10 +30,6 @@
 #include "mac/realization.h"
 #include "mac/schedulers.h"
 
-namespace ammb::net {
-class NetEngine;
-}
-
 namespace ammb::core {
 
 /// Which scheduler drives the execution.
@@ -182,6 +178,8 @@ struct RunConfig {
   ExecutionLimits limits;
   DynamicsSpec dynamics;
   std::uint64_t seed = 1;
+  /// Whether the trace stores records.  Consumers attached through
+  /// Experiment::mutableTrace() see every record either way.
   bool recordTrace = true;
   /// Trace storage backend (sim::TraceMode — in-memory vector by
   /// default, or a bounded-buffer disk spool).  Pure storage knob: the
@@ -255,17 +253,14 @@ class Experiment {
   mac::MacEngine& engine() {
     AMMB_REQUIRE(engine_ != nullptr,
                  "this experiment runs on the net backend, which has no "
-                 "simulator engine — use trace()/netEngine()");
+                 "simulator engine — use trace()");
     return *engine_;
   }
-  /// The UDP backend engine (requires a net backend).
-  net::NetEngine& netEngine();
   /// The recorded execution trace, whichever backend produced it.
-  const sim::Trace& trace() const;
+  const sim::Trace& trace() const { return layer_->trace(); }
   /// Mutable trace access (whichever backend) — the attachment point
   /// for streaming consumers (sim::Trace::attachConsumer) before run().
-  sim::Trace& mutableTrace();
-  const SolveTracker& tracker() const { return tracker_; }
+  sim::Trace& mutableTrace() { return layer_->mutableTrace(); }
   ProtocolKind protocol() const { return protocol_.kind(); }
 
   /// The epoch-indexed topology view this run executes over (a single
@@ -284,17 +279,17 @@ class Experiment {
              std::unique_ptr<ArrivalProcess> owned, ArrivalProcess* external,
              const RunConfig& config);
 
-  const graph::DualGraph& topology_;
   ProtocolSpec protocol_;
   RunConfig config_;
   graph::TopologyView view_;
   std::unique_ptr<ArrivalProcess> ownedArrivals_;
   ArrivalProcess* arrivals_ = nullptr;
   std::variant<BmmbSuite, FmmbSuite> suite_;
-  /// Exactly one of these is live, per config_.backend.
-  std::unique_ptr<mac::MacEngine> engine_;
-  std::unique_ptr<net::NetEngine> netEngine_;
   SolveTracker tracker_;
+  /// The backend that runs this experiment, per config_.backend.
+  std::unique_ptr<mac::MacLayer> layer_;
+  /// layer_ as the simulator engine; null on the net backend.
+  mac::MacEngine* engine_ = nullptr;
 };
 
 /// Convenience one-shot runners.
@@ -313,9 +308,10 @@ using ArrivalFactory =
 
 /// Sequential seed sweep over [seedBegin, seedEnd): one run per seed on
 /// a shared topology, with config.seed overridden per run and a fresh
-/// arrival stream built per seed.  This is the single-cell,
-/// single-thread building block underneath runner::SweepRunner;
-/// results are indexed by seed - seedBegin.
+/// arrival stream built per seed.  runner::SweepRunner does not call
+/// this (it runs runner::executeRun per point); it is the sequential
+/// reference the runner's results are compared against.  Results are
+/// indexed by seed - seedBegin.
 std::vector<RunResult> runSeedSweep(const graph::DualGraph& topology,
                                     const ProtocolSpec& protocol,
                                     const ArrivalFactory& arrivals,

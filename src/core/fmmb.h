@@ -101,7 +101,7 @@ class FmmbSuite {
   explicit FmmbSuite(FmmbParams params, ReactionSpec reaction = {})
       : params_(params), reaction_(reaction) {}
 
-  mac::MacEngine::ProcessFactory factory() {
+  mac::MacLayer::ProcessFactory factory() {
     return [this](NodeId node) {
       auto p = std::make_unique<FmmbProcess>(params_, reaction_);
       byNode_[node] = p.get();

@@ -58,7 +58,7 @@ class MaxFloodSuite {
   explicit MaxFloodSuite(ValueFn initialValue = nullptr)
       : initialValue_(std::move(initialValue)) {}
 
-  mac::MacEngine::ProcessFactory factory() {
+  mac::MacLayer::ProcessFactory factory() {
     return [this](NodeId node) {
       const std::int64_t value =
           initialValue_ ? initialValue_(node) : static_cast<std::int64_t>(node);

@@ -106,7 +106,7 @@ class MisSuite {
  public:
   explicit MisSuite(FmmbParams params) : params_(params) {}
 
-  mac::MacEngine::ProcessFactory factory() {
+  mac::MacLayer::ProcessFactory factory() {
     return [this](NodeId node) {
       auto p = std::make_unique<MisProcess>(params_);
       byNode_[node] = p.get();

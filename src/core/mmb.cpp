@@ -74,20 +74,14 @@ SolveTracker::SolveTracker(const graph::DualGraph& topology,
   arrivalsComplete_ = true;
 }
 
-void SolveTracker::attach(mac::MacEngine& engine, bool stopOnSolve) {
-  attachStop([&engine] { engine.requestStop(); }, stopOnSolve);
-  engine.setArriveHook([this](NodeId node, MsgId msg, Time at) {
+void SolveTracker::attach(mac::MacLayer& layer, bool stopOnSolve) {
+  stopLayer_ = stopOnSolve ? &layer : nullptr;
+  layer.setArriveHook([this](NodeId node, MsgId msg, Time at) {
     onArrive(node, msg, at);
   });
-  engine.setDeliverHook([this](NodeId node, MsgId msg, Time at) {
+  layer.setDeliverHook([this](NodeId node, MsgId msg, Time at) {
     onDeliver(node, msg, at);
   });
-}
-
-void SolveTracker::attachStop(std::function<void()> requestStop,
-                              bool stopOnSolve) {
-  stopRequest_ = std::move(requestStop);
-  stopOnSolve_ = stopOnSolve;
 }
 
 Time SolveTracker::solveTime() const {
@@ -158,7 +152,7 @@ void SolveTracker::markArrivalsComplete(Time at) {
 void SolveTracker::maybeSolve(Time at) {
   if (solved() && solveTime_ == kTimeNever) {
     solveTime_ = at;
-    if (stopOnSolve_ && stopRequest_) stopRequest_();
+    if (stopLayer_ != nullptr) stopLayer_->requestStop();
   }
 }
 

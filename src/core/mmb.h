@@ -9,14 +9,13 @@
 // never before it arrived, and — for required nodes — at least once).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/dual_graph.h"
-#include "mac/engine.h"
+#include "mac/layer.h"
 #include "sim/trace.h"
 
 namespace ammb::core {
@@ -109,16 +108,10 @@ class SolveTracker {
   /// required set.
   SolveTracker(const graph::DualGraph& topology, const MmbWorkload& workload);
 
-  /// Registers this tracker as the engine's arrive + deliver hooks.
-  /// When `stopOnSolve` is set the engine is asked to stop at the
+  /// Registers this tracker as the layer's arrive + deliver hooks.
+  /// When `stopOnSolve` is set the layer is asked to stop at the
   /// solving delivery (protocols like FMMB never quiesce on their own).
-  void attach(mac::MacEngine& engine, bool stopOnSolve = true);
-
-  /// Backend-agnostic form: the caller wires its own arrive/deliver
-  /// hooks to onArrive/onDeliver and supplies the stop request invoked
-  /// at the solving event.  This is how the net backend attaches —
-  /// there is no mac::MacEngine to hand over.
-  void attachStop(std::function<void()> requestStop, bool stopOnSolve = true);
+  void attach(mac::MacLayer& layer, bool stopOnSolve = true);
 
   /// Observes one arrive event (idempotent per (node, msg)).
   void onArrive(NodeId node, MsgId msg, Time at);
@@ -166,8 +159,7 @@ class SolveTracker {
   int arrivedMsgs_ = 0;
   std::int64_t remaining_ = 0;
   Time solveTime_ = kTimeNever;
-  std::function<void()> stopRequest_;
-  bool stopOnSolve_ = true;
+  mac::MacLayer* stopLayer_ = nullptr;  ///< asked to stop at the solve
 };
 
 /// Result of the MMB problem-level trace check.

@@ -78,28 +78,11 @@ MacEngine::MacEngine(const graph::TopologyView& view, MacParams params,
                      std::unique_ptr<Scheduler> scheduler,
                      ProcessFactory factory, std::uint64_t seed,
                      bool traceEnabled, sim::TraceMode traceMode)
-    : MacEngine(std::nullopt, &view, params, std::move(scheduler),
-                std::move(factory), seed, traceEnabled, traceMode) {}
-
-MacEngine::MacEngine(const graph::DualGraph& topology, MacParams params,
-                     std::unique_ptr<Scheduler> scheduler,
-                     ProcessFactory factory, std::uint64_t seed,
-                     bool traceEnabled, sim::TraceMode traceMode)
-    : MacEngine(graph::TopologyView(topology), nullptr, params,
-                std::move(scheduler), std::move(factory), seed, traceEnabled,
-                traceMode) {}
-
-MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
-                     const graph::TopologyView* view, MacParams params,
-                     std::unique_ptr<Scheduler> scheduler,
-                     ProcessFactory factory, std::uint64_t seed,
-                     bool traceEnabled, sim::TraceMode traceMode)
-    : ownedView_(std::move(owned)),
-      view_(view != nullptr ? view : &*ownedView_),
+    : MacLayer(traceEnabled, traceMode),
+      view_(&view),
       csr_(&view_->csrAt(0)),
       params_(params),
       scheduler_(std::move(scheduler)),
-      trace_(traceEnabled, traceMode),
       guard_(*this, view_->n()),
       schedulerRng_(SeedSequence(seed).childSeed(rngstream::kScheduler, 0)) {
   params_.validate();
@@ -176,7 +159,7 @@ void MacEngine::scheduleNextArrival() {
   });
 }
 
-sim::RunStatus MacEngine::run(Time timeLimit, std::uint64_t maxEvents) {
+sim::RunStatus MacEngine::runUntil(Time timeLimit, std::uint64_t maxEvents) {
   return queue_.run(timeLimit, maxEvents);
 }
 
@@ -184,12 +167,6 @@ const Instance& MacEngine::instance(InstanceId id) const {
   AMMB_REQUIRE(id >= 0 && id < static_cast<InstanceId>(instances_.size()),
                "unknown instance id");
   return instances_[static_cast<std::size_t>(id)];
-}
-
-Process& MacEngine::processAt(NodeId node) { return *state(node).process; }
-
-const Process& MacEngine::processAt(NodeId node) const {
-  return *state(node).process;
 }
 
 const std::vector<InstanceId>& MacEngine::liveInstancesNear(

@@ -17,9 +17,7 @@
 // seed), executions are bit-for-bit reproducible.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -38,55 +36,20 @@
 
 namespace ammb::mac {
 
-/// Aggregate counters of a run.
-struct EngineStats {
-  std::uint64_t bcasts = 0;
-  std::uint64_t rcvs = 0;
-  std::uint64_t forcedRcvs = 0;  ///< deliveries forced by the guard
-  std::uint64_t acks = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t delivers = 0;
-  std::uint64_t arrives = 0;
-};
-
 /// The simulation engine for one execution.  Implements MacLayer, the
 /// execution seam Context routes through, so protocol automata run
 /// identically over this engine and the real network backend.
 class MacEngine : public MacLayer {
  public:
-  using ProcessFactory = std::function<std::unique_ptr<Process>(NodeId)>;
-  /// Hook fired on every protocol deliver(m) output.
-  using DeliverHook = std::function<void(NodeId, MsgId, Time)>;
-  /// Hook fired on every environment arrive(m) input, before the
-  /// process reacts to it (so solve trackers see the arrival first).
-  using ArriveHook = std::function<void(NodeId, MsgId, Time)>;
-  /// One environment arrival pulled from a lazy source.
-  struct ArrivalEvent {
-    NodeId node = kNoNode;
-    MsgId msg = kNoMsg;
-    Time at = 0;
-  };
-  /// Pull-based arrival stream: nullopt means exhausted.
-  using ArrivalSource = std::function<std::optional<ArrivalEvent>()>;
-
   /// Wires the system together and schedules the wake events at t=0
   /// plus one internal transition event per topology epoch.  The view
-  /// must outlive the engine.  `traceMode` selects the record storage
-  /// backend (in-memory vector or disk spool — sim/trace.h).
+  /// must outlive the engine (a static run wraps its DualGraph in a
+  /// single-epoch graph::TopologyView).  `traceMode` selects the record
+  /// storage (in-memory vector or disk spool — sim/trace.h).
   MacEngine(const graph::TopologyView& view, MacParams params,
             std::unique_ptr<Scheduler> scheduler, ProcessFactory factory,
             std::uint64_t seed, bool traceEnabled = true,
             sim::TraceMode traceMode = {});
-
-  /// Static-topology convenience: wraps `topology` in an owned
-  /// single-epoch view.  The topology must outlive the engine.
-  MacEngine(const graph::DualGraph& topology, MacParams params,
-            std::unique_ptr<Scheduler> scheduler, ProcessFactory factory,
-            std::uint64_t seed, bool traceEnabled = true,
-            sim::TraceMode traceMode = {});
-
-  MacEngine(const MacEngine&) = delete;
-  MacEngine& operator=(const MacEngine&) = delete;
 
   // --- environment ----------------------------------------------------
   /// Injects an arrive(m) event at `node` at time `at` (>= now).  The
@@ -94,27 +57,12 @@ class MacEngine : public MacLayer {
   /// generalization mentioned in Section 2.
   void injectArriveAt(NodeId node, MsgId msg, Time at);
 
-  /// Registers a pull-based arrival stream and schedules its first
-  /// arrival.  The engine keeps exactly one pending arrival event in
-  /// the queue: when it fires, the next arrival is pulled and
-  /// scheduled — so arbitrarily long (or open-ended) streams cost O(1)
-  /// queue space.  The source must yield nondecreasing times >= now().
-  void setArrivalSource(ArrivalSource source);
+  /// Registers the arrival stream and schedules its first arrival.
+  void setArrivalSource(ArrivalSource source) override;
 
-  /// Runs until drained / stopped / past `timeLimit`.
-  sim::RunStatus run(Time timeLimit = kTimeNever,
-                     std::uint64_t maxEvents = 250'000'000);
+  void requestStop() override { queue_.requestStop(); }
 
-  /// Requests the current run to stop after the ongoing event.
-  void requestStop() { queue_.requestStop(); }
-
-  // --- hooks ------------------------------------------------------------
-  /// Registers the deliver-output observer (e.g., solve detection).
-  void setDeliverHook(DeliverHook hook) { deliverHook_ = std::move(hook); }
-
-  /// Registers the arrive-input observer (e.g., latency tracking).
-  void setArriveHook(ArriveHook hook) { arriveHook_ = std::move(hook); }
-
+  // --- knobs ------------------------------------------------------------
   /// Enables/disables online scheduler-plan validation (on by default).
   /// Only the fuzzing subsystem's mutation fixtures turn this off: a
   /// deliberately broken scheduler is then allowed to produce an
@@ -160,11 +108,6 @@ class MacEngine : public MacLayer {
   /// The epoch covering now().
   int currentEpoch() const { return epoch_; }
   const MacParams& params() const override { return params_; }
-  const sim::Trace& trace() const { return trace_; }
-  /// Mutable trace access — the attachment point for streaming
-  /// consumers (sim::Trace::attachConsumer) before run().
-  sim::Trace& mutableTrace() { return trace_; }
-  const EngineStats& stats() const { return stats_; }
   NodeId n() const override { return view_->n(); }
 
   /// Start of the maximal run of epochs ending now throughout which
@@ -177,10 +120,6 @@ class MacEngine : public MacLayer {
   /// All instances ever created, indexed by InstanceId.
   const std::vector<Instance>& instances() const { return instances_; }
   const Instance& instance(InstanceId id) const;
-
-  /// The protocol automaton at `node` (for harness inspection).
-  Process& processAt(NodeId node);
-  const Process& processAt(NodeId node) const;
 
   /// RNG stream reserved for the scheduler.
   Rng& schedulerRng() { return schedulerRng_; }
@@ -225,6 +164,7 @@ class MacEngine : public MacLayer {
   Rng& nodeRng(NodeId node) override;
 
   // Internal machinery ----------------------------------------------------
+  sim::RunStatus runUntil(Time timeLimit, std::uint64_t maxEvents) override;
   void fireArrive(NodeId node, MsgId msg);
   void scheduleNextArrival();
   void validatePlan(const Instance& instance, const DeliveryPlan& plan) const;
@@ -235,17 +175,10 @@ class MacEngine : public MacLayer {
   void forceProgressDelivery(NodeId receiver);
   void onEpochBoundary(int e);
 
-  MacEngine(std::optional<graph::TopologyView> owned,
-            const graph::TopologyView* view, MacParams params,
-            std::unique_ptr<Scheduler> scheduler, ProcessFactory factory,
-            std::uint64_t seed, bool traceEnabled, sim::TraceMode traceMode);
-
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
   void checkNode(NodeId node) const;
 
-  /// Owned single-epoch view when constructed from a bare DualGraph.
-  std::optional<graph::TopologyView> ownedView_;
   const graph::TopologyView* view_ = nullptr;
   /// The epoch covering now(); csr_ caches its flat adjacency.
   int epoch_ = 0;
@@ -253,8 +186,6 @@ class MacEngine : public MacLayer {
   MacParams params_;
   std::unique_ptr<Scheduler> scheduler_;
   sim::EventQueue queue_;
-  sim::Trace trace_;
-  EngineStats stats_;
   std::vector<NodeState> nodes_;
   std::vector<Instance> instances_;
   ProgressGuard guard_;
@@ -262,8 +193,6 @@ class MacEngine : public MacLayer {
   bool validatePlans_ = true;
   bool epochNotifications_ = true;
   const ProtocolOracle* oracle_ = nullptr;
-  DeliverHook deliverHook_;
-  ArriveHook arriveHook_;
   ArrivalSource arrivalSource_;
   std::unordered_map<TimerId, sim::EventHandle> timers_;
   TimerId nextTimer_ = 1;

@@ -11,7 +11,9 @@
 // The type lives in mac/ — not phys/ — so core::RunConfig and the
 // runner can carry it without depending on the physical-layer
 // implementation; only core::Experiment reaches into phys/ to
-// instantiate the simulator.
+// instantiate the simulator.  The knobs of the real UDP backend
+// (NetBackendParams) live here for the same reason: core carries them
+// on its backend axis and net::NetEngine runs under them.
 //
 // Like core::ExecutionBackend, the realization is value-semantic with a
 // canonical label() / fromLabel() spelling shared by the sweep-spec
@@ -58,6 +60,56 @@ struct CsmaParams {
            a.maxRetries == b.maxRetries && a.pCapture == b.pCapture;
   }
   friend bool operator!=(const CsmaParams& a, const CsmaParams& b) {
+    return !(a == b);
+  }
+};
+
+/// Knobs of the real UDP backend (net::NetEngine, selected by
+/// core::ExecutionBackend).  Defaults give a clean loopback run.
+struct NetBackendParams {
+  /// First UDP port; node v binds basePort + v on 127.0.0.1.  0 lets
+  /// the kernel assign ephemeral ports (the loopback-test default).
+  int basePort = 0;
+  /// Injected per-datagram drop probability on data datagrams (the
+  /// fault injector; perfect-link retransmission recovers G links).
+  double loss = 0.0;
+  /// Wall-clock microseconds per simulated tick — the scale on which
+  /// real timestamps land in the recorded sim::Trace.
+  std::int64_t tickUs = 100;
+  /// Transmission attempts on G'-only links before giving up.  These
+  /// links carry no delivery guarantee, so bounded attempts (plus
+  /// injected loss) realize the paper's unreliable fringe.
+  int gPrimeAttempts = 3;
+  /// Fault: delay every MAC-level ack by this many ticks.  0 for
+  /// honest runs; the negative e2e test pushes it past the fitted
+  /// Fack to prove the ack-bound axiom trips on real executions.
+  Time ackDelayTicks = 0;
+  /// Fault: uniform extra send delay in [0, jitterUs] microseconds per
+  /// data datagram — enough to reorder datagrams on loopback.
+  std::int64_t jitterUs = 0;
+
+  void validate() const {
+    AMMB_REQUIRE(basePort == 0 || (basePort >= 1024 && basePort <= 65000),
+                 "net backend base port must be 0 (ephemeral) or in "
+                 "[1024, 65000]");
+    AMMB_REQUIRE(loss >= 0.0 && loss <= 0.95,
+                 "net backend loss probability must be in [0, 0.95]");
+    AMMB_REQUIRE(tickUs >= 1, "net backend tick must be >= 1 microsecond");
+    AMMB_REQUIRE(gPrimeAttempts >= 1,
+                 "net backend needs at least one G'-link attempt");
+    AMMB_REQUIRE(ackDelayTicks >= 0,
+                 "net backend ack delay must be non-negative");
+    AMMB_REQUIRE(jitterUs >= 0, "net backend jitter must be non-negative");
+  }
+
+  friend bool operator==(const NetBackendParams& a,
+                         const NetBackendParams& b) {
+    return a.basePort == b.basePort && a.loss == b.loss &&
+           a.tickUs == b.tickUs && a.gPrimeAttempts == b.gPrimeAttempts &&
+           a.ackDelayTicks == b.ackDelayTicks && a.jitterUs == b.jitterUs;
+  }
+  friend bool operator!=(const NetBackendParams& a,
+                         const NetBackendParams& b) {
     return !(a == b);
   }
 };

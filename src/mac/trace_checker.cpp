@@ -450,11 +450,4 @@ CheckResult checkTrace(const graph::TopologyView& view,
   return checker.finish(horizon);
 }
 
-CheckResult checkTrace(const graph::DualGraph& topology,
-                       const MacParams& params, const sim::Trace& trace,
-                       Time horizon) {
-  const graph::TopologyView view(topology);
-  return checkTrace(view, params, trace, horizon);
-}
-
 }  // namespace ammb::mac

@@ -129,9 +129,4 @@ CheckResult checkTrace(const graph::TopologyView& view,
                        const MacParams& params, const sim::Trace& trace,
                        Time horizon = kTimeNever);
 
-/// Static-topology convenience (single-epoch view over `topology`).
-CheckResult checkTrace(const graph::DualGraph& topology,
-                       const MacParams& params, const sim::Trace& trace,
-                       Time horizon = kTimeNever);
-
 }  // namespace ammb::mac

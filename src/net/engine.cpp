@@ -30,21 +30,17 @@ std::uint64_t linkKey(NodeId from, NodeId to) {
 
 NetEngine::NetEngine(const graph::TopologyView& view, mac::MacParams params,
                      ProcessFactory factory, NetConfig config)
-    : view_(&view),
+    : MacLayer(config.recordTrace, config.traceMode),
+      view_(&view),
       params_(params),
       config_(config),
-      faults_(config.seed, config.loss, config.jitterUs),
-      trace_(config.recordTrace, config.traceMode) {
+      faults_(config.seed, config.net.loss, config.net.jitterUs) {
   params_.validate();
+  config_.net.validate();
+  AMMB_REQUIRE(config_.rtoUs >= 1, "net rtoUs must be at least 1");
   AMMB_REQUIRE(!view.dynamic(),
                "the net backend requires a static (single-epoch) topology");
   AMMB_REQUIRE(factory != nullptr, "the net backend needs a process factory");
-  AMMB_REQUIRE(config_.tickUs >= 1, "net tickUs must be at least 1");
-  AMMB_REQUIRE(config_.rtoUs >= 1, "net rtoUs must be at least 1");
-  AMMB_REQUIRE(config_.gPrimeAttempts >= 1,
-               "net gPrimeAttempts must be at least 1");
-  AMMB_REQUIRE(config_.ackDelayTicks >= 0,
-               "net ackDelayTicks must be non-negative");
   const NodeId nn = view.n();
   AMMB_REQUIRE(nn >= 1, "the net backend needs at least one node");
   SeedSequence seeds(config_.seed);
@@ -92,7 +88,9 @@ std::int64_t NetEngine::elapsedUs() const {
       .count();
 }
 
-Time NetEngine::nowTicks() const { return elapsedUs() / config_.tickUs; }
+Time NetEngine::nowTicks() const {
+  return elapsedUs() / config_.net.tickUs;
+}
 
 Time NetEngine::now() const {
   if (!started_.load()) return 0;
@@ -102,7 +100,7 @@ Time NetEngine::now() const {
 
 // --- run --------------------------------------------------------------------
 
-sim::RunStatus NetEngine::run(Time timeLimit, std::uint64_t maxEvents) {
+sim::RunStatus NetEngine::runUntil(Time timeLimit, std::uint64_t maxEvents) {
   AMMB_REQUIRE(!started_.load(), "a NetEngine can only run once");
   maxEvents_ = maxEvents;
 
@@ -116,9 +114,9 @@ sim::RunStatus NetEngine::run(Time timeLimit, std::uint64_t maxEvents) {
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(
-        config_.basePort == 0
+        config_.net.basePort == 0
             ? 0
-            : static_cast<std::uint16_t>(config_.basePort + v));
+            : static_cast<std::uint16_t>(config_.net.basePort + v));
     AMMB_REQUIRE(::bind(fd, reinterpret_cast<sockaddr*>(&addr),
                         sizeof(addr)) == 0,
                  "net backend: bind() failed (port in use?)");
@@ -159,16 +157,16 @@ sim::RunStatus NetEngine::run(Time timeLimit, std::uint64_t maxEvents) {
     scheduleNextArrival();
     maybeDrain();
 
+    const std::int64_t tickUs = config_.net.tickUs;
     const bool hasDeadline =
         timeLimit != kTimeNever &&
-        timeLimit <= std::numeric_limits<std::int64_t>::max() / config_.tickUs;
+        timeLimit <= std::numeric_limits<std::int64_t>::max() / tickUs;
     const auto verdict = [this] {
       return stopRequested_.load() || drained_ || limitHit_;
     };
     if (hasDeadline) {
       cv_.wait_until(lock,
-                     start_ + std::chrono::microseconds(
-                                  timeLimit * config_.tickUs),
+                     start_ + std::chrono::microseconds(timeLimit * tickUs),
                      verdict);
     } else {
       cv_.wait(lock, verdict);
@@ -288,7 +286,8 @@ void NetEngine::sweepLink(NodeId from, NodeId to) {
     o.dueUs = nowUs + o.rtoUs;
     o.rtoUs = std::min<std::int64_t>(o.rtoUs * 2, kMaxRtoUs);
     if (!o.gLink &&
-        o.attempt >= static_cast<std::uint32_t>(config_.gPrimeAttempts)) {
+        o.attempt >=
+            static_cast<std::uint32_t>(config_.net.gPrimeAttempts)) {
       // Final best-effort attempt on an unreliable-only link: it goes
       // out below, but nothing waits for its ack.
       exhausted.push_back(seq);
@@ -439,8 +438,9 @@ void NetEngine::scheduleMacAck(InstanceId id) {
   NetInstance& inst = instances_[static_cast<std::size_t>(id)];
   if (inst.ackScheduled) return;
   inst.ackScheduled = true;
+  const std::int64_t delayUs = config_.net.ackDelayTicks * config_.net.tickUs;
   scheduleTask(
-      elapsedUs() + config_.ackDelayTicks * config_.tickUs, [this, id] {
+      elapsedUs() + delayUs, [this, id] {
         if (stopping_) return;
         NetInstance& inst = instances_[static_cast<std::size_t>(id)];
         if (inst.terminated) return;
@@ -517,7 +517,7 @@ TimerId NetEngine::apiSetTimer(NodeId node, Time at) {
   AMMB_REQUIRE(at >= nowTicks(), "timers cannot fire in the past");
   const TimerId id = nextTimer_++;
   activeTimers_.insert(id);
-  scheduleTask(at * config_.tickUs, [this, node, id] {
+  scheduleTask(at * config_.net.tickUs, [this, node, id] {
     if (stopping_) return;
     if (activeTimers_.erase(id) == 0) return;  // cancelled meanwhile
     mac::Context ctx(*this, node);
@@ -597,7 +597,8 @@ void NetEngine::scheduleNextArrival() {
   }
   arrivalPending_ = true;
   const ArrivalEvent ev = *next;
-  scheduleTask(std::max<std::int64_t>(ev.at * config_.tickUs, elapsedUs()),
+  const std::int64_t atUs = ev.at * config_.net.tickUs;
+  scheduleTask(std::max<std::int64_t>(atUs, elapsedUs()),
                [this, ev] {
                  if (stopping_) return;
                  arrivalPending_ = false;

@@ -30,7 +30,8 @@
 // with monotone timestamps — checkable by mac::checkTrace and
 // check::checkExecution under phys::measureRealized fitted bounds,
 // just like a CSMA-realized simulation.  Time is real: a tick is
-// NetConfig::tickUs microseconds of wall clock since run() started.
+// NetBackendParams::tickUs microseconds of wall clock since run()
+// started.
 #pragma once
 
 #include <atomic>
@@ -41,7 +42,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,11 +50,11 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "graph/topology_view.h"
-#include "mac/engine.h"
 #include "mac/layer.h"
 #include "mac/packet.h"
 #include "mac/params.h"
 #include "mac/process.h"
+#include "mac/realization.h"
 #include "net/fault.h"
 #include "net/wire.h"
 #include "sim/event_queue.h"
@@ -62,69 +62,35 @@
 
 namespace ammb::net {
 
-/// Knobs of the UDP backend (core::NetBackendParams plus run wiring).
+/// Knobs of the UDP backend plus run wiring.
 struct NetConfig {
-  /// 0 binds ephemeral ports; otherwise node v binds basePort + v.
-  int basePort = 0;
-  /// Per-attempt injected drop probability in [0, 1).
-  double loss = 0.0;
-  /// Wall-clock microseconds per model tick.
-  std::int64_t tickUs = 100;
-  /// Send attempts on E' \ E links (G links retransmit until acked).
-  int gPrimeAttempts = 3;
-  /// Extra delay (ticks) between the last G link-ack and the MAC ack —
-  /// the negative e2e test uses this to manufacture Fack violations.
-  Time ackDelayTicks = 0;
-  /// Injected per-attempt send delay bound (microseconds).
-  std::int64_t jitterUs = 0;
+  /// Ports, loss, tick scale, G'-link attempts and the injected faults.
+  mac::NetBackendParams net;
   /// Initial retransmission timeout (microseconds, doubles per retry).
   std::int64_t rtoUs = 2000;
   /// Master seed (node RNG streams + fault plan).
   std::uint64_t seed = 1;
-  /// Whether to record the sim::Trace.
+  /// Whether to store the sim::Trace records (consumers are fed anyway).
   bool recordTrace = true;
-  /// Trace storage backend (in-memory vector or disk spool).
+  /// Trace storage (in-memory vector or disk spool).
   sim::TraceMode traceMode;
 };
 
 /// The UDP realization of the abstract MAC layer.
 class NetEngine final : public mac::MacLayer {
  public:
-  using ProcessFactory = std::function<std::unique_ptr<mac::Process>(NodeId)>;
-  using DeliverHook = std::function<void(NodeId, MsgId, Time)>;
-  using ArriveHook = std::function<void(NodeId, MsgId, Time)>;
-  struct ArrivalEvent {
-    NodeId node = kNoNode;
-    MsgId msg = kNoMsg;
-    Time at = 0;
-  };
-  /// Pull-based arrival stream: nullopt means exhausted.
-  using ArrivalSource = std::function<std::optional<ArrivalEvent>()>;
-
   /// The view must be static (single-epoch) — real time has no
   /// scripted topology changes — and must outlive the engine.
   NetEngine(const graph::TopologyView& view, mac::MacParams params,
             ProcessFactory factory, NetConfig config);
   ~NetEngine() override;
 
-  NetEngine(const NetEngine&) = delete;
-  NetEngine& operator=(const NetEngine&) = delete;
-
-  /// Registers a pull-based arrival stream (see MacEngine).
-  void setArrivalSource(ArrivalSource source);
-
-  void setDeliverHook(DeliverHook hook) { deliverHook_ = std::move(hook); }
-  void setArriveHook(ArriveHook hook) { arriveHook_ = std::move(hook); }
-
-  /// Binds sockets, starts the threads, wakes the nodes, and blocks
-  /// until the system drains, a stop is requested, the event cap
-  /// trips, or `timeLimit` ticks of wall clock elapse.
-  sim::RunStatus run(Time timeLimit = kTimeNever,
-                     std::uint64_t maxEvents = 250'000'000);
+  /// Registers the arrival stream (pulled once the run starts).
+  void setArrivalSource(ArrivalSource source) override;
 
   /// Requests the current run to stop.  Safe to call from protocol
   /// callbacks (the solve tracker does) and from other threads.
-  void requestStop();
+  void requestStop() override;
 
   // --- introspection ----------------------------------------------------
   Time now() const override;
@@ -133,11 +99,6 @@ class NetEngine final : public mac::MacLayer {
   }
   const graph::TopologyView& view() const { return *view_; }
   const mac::MacParams& params() const override { return params_; }
-  const sim::Trace& trace() const { return trace_; }
-  /// Mutable trace access — attach streaming consumers before run().
-  /// Consumers fire under the engine's trace mutex, in commit order.
-  sim::Trace& mutableTrace() { return trace_; }
-  const mac::EngineStats& stats() const { return stats_; }
   NodeId n() const override { return view_->n(); }
 
  private:
@@ -191,6 +152,12 @@ class NetEngine final : public mac::MacLayer {
   void requireEnhanced(const char* api) const override;
   Rng& nodeRng(NodeId node) override;
 
+  /// Binds sockets, starts the threads, wakes the nodes, and blocks
+  /// until the system drains, a stop is requested, the event cap
+  /// trips, or `timeLimit` ticks of wall clock elapse.  Trace
+  /// consumers fire under the engine mutex, in commit order.
+  sim::RunStatus runUntil(Time timeLimit, std::uint64_t maxEvents) override;
+
   // Clocks ---------------------------------------------------------------
   std::int64_t elapsedUs() const;       ///< µs since run() started
   Time nowTicks() const;                ///< elapsedUs / tickUs
@@ -234,16 +201,12 @@ class NetEngine final : public mac::MacLayer {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;   ///< run() waits here for a verdict
-  sim::Trace trace_;
-  mac::EngineStats stats_;
   std::vector<NodeState> nodes_;
   std::vector<NetInstance> instances_;
   std::unordered_map<std::uint64_t, LinkState> links_;  ///< key from<<32|to
   std::unordered_set<TimerId> activeTimers_;
   TimerId nextTimer_ = 1;
 
-  DeliverHook deliverHook_;
-  ArriveHook arriveHook_;
   ArrivalSource arrivalSource_;
   bool arrivalsExhausted_ = false;
   bool arrivalPending_ = false;

@@ -155,7 +155,15 @@ core::RunConfig runConfigFor(const SweepSpec& spec, const RunPoint& point) {
       topoD > 0 ? topoD : spec.lowerBoundLineLength;
   config.dynamics = spec.dynamics[point.dynIdx].spec;
   config.seed = point.seed;
-  config.recordTrace = spec.recordTrace || spec.check != CheckMode::kOff;
+  // Checked runs stream their records through the oracles as they are
+  // committed, so records are stored only where the run reads them
+  // back afterwards: canonical traces, and the bounds a physical
+  // realization or the net backend fits after the run.
+  config.recordTrace =
+      spec.recordTrace ||
+      (spec.check != CheckMode::kOff &&
+       (spec.keepCanonicalTraces || !spec.realization.abstract() ||
+        !spec.backend.sim()));
   config.limits.stopOnSolve = spec.stopOnSolve;
   config.limits.maxTime = spec.maxTime;
   config.limits.maxEvents = spec.maxEvents;

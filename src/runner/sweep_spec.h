@@ -82,10 +82,12 @@ struct DynamicsSpecNamed {
 using FmmbParamsFactory = std::function<core::FmmbParams(NodeId n, int k)>;
 
 /// Per-run trace checking inside sweeps.  Any mode other than kOff
-/// forces trace recording for every run and re-validates the recorded
-/// execution before the trace is dropped; violations are carried on
-/// the RunRecord and aggregated per cell (and into the CSV/JSON
-/// emitters), so a sweep doubles as a model-checking campaign.
+/// validates every run's execution, streaming its records through the
+/// oracles as they are committed; violations are carried on the
+/// RunRecord and aggregated per cell (and into the CSV/JSON emitters),
+/// so a sweep doubles as a model-checking campaign.  Records are
+/// stored only where something reads them after the run (see
+/// runConfigFor).
 enum class CheckMode : std::uint8_t {
   kOff,   ///< no checking (default)
   kMac,   ///< Section 3.2.1 MAC axioms only (mac::checkTrace)
@@ -123,7 +125,7 @@ struct SweepSpec {
   // Per-run execution controls (RunConfig fields not on the grid).
   bool stopOnSolve = true;
   bool recordTrace = false;
-  /// Per-run trace checking (forces trace recording when not kOff).
+  /// Per-run trace checking (kOff by default).
   CheckMode check = CheckMode::kOff;
   /// Retain each checked run's canonical trace serialization on its
   /// RunRecord (golden-snapshot workflows; requires check != kOff and

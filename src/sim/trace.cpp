@@ -58,10 +58,8 @@ TraceMode TraceMode::fromLabel(const std::string& label) {
 }
 
 Trace::Trace(bool enabled, TraceMode mode) : enabled_(enabled), mode_(mode) {
-  if (!enabled_) return;
-  sink_ = makeTraceSink(mode_);
-  if (auto* mem = dynamic_cast<MemTraceSink*>(sink_.get())) {
-    memVec_ = &mem->records();
+  if (enabled_ && mode_.kind == TraceMode::Kind::kSpool) {
+    spool_ = std::make_unique<SpoolTraceSink>(mode_.bufRecords);
   }
 }
 
@@ -70,38 +68,33 @@ Trace::Trace(Trace&& other) noexcept = default;
 Trace& Trace::operator=(Trace&& other) noexcept = default;
 
 const std::vector<TraceRecord>& Trace::records() const {
-  static const std::vector<TraceRecord> kEmpty;
-  if (!enabled_) return kEmpty;
-  if (memVec_ != nullptr) return *memVec_;
-  throw Error("Trace::records() needs the in-memory sink; trace mode \"" +
+  if (spool_ == nullptr) return records_;
+  throw Error("Trace::records() needs the in-memory store; trace mode \"" +
               mode_.label() + "\" supports forEach() replay only");
 }
 
 std::size_t Trace::size() const {
-  return sink_ == nullptr ? 0 : sink_->size();
+  return spool_ != nullptr ? spool_->size() : records_.size();
 }
 
 Time Trace::lastTime() const {
-  return sink_ == nullptr ? 0 : sink_->lastTime();
+  if (spool_ != nullptr) return spool_->lastTime();
+  return records_.empty() ? 0 : records_.back().t;
 }
 
 void Trace::forEach(
     const std::function<void(const TraceRecord&)>& fn) const {
-  if (sink_ != nullptr) sink_->replay(fn);
+  if (spool_ != nullptr) {
+    spool_->replay(fn);
+    return;
+  }
+  for (const TraceRecord& record : records_) fn(record);
 }
 
 void Trace::attachConsumer(TraceConsumer* consumer) {
-  if (!enabled_ || consumer == nullptr) return;
-  if (!teed_) {
-    auto tee = std::make_unique<TeeTraceSink>(std::move(sink_));
-    sink_ = std::move(tee);
-    teed_ = true;
-  }
-  static_cast<TeeTraceSink*>(sink_.get())->addConsumer(consumer);
+  if (consumer != nullptr) consumers_.push_back(consumer);
 }
 
-void Trace::slowAdd(const TraceRecord& record) {
-  sink_->append(record);
-}
+void Trace::spoolAdd(const TraceRecord& record) { spool_->append(record); }
 
 }  // namespace ammb::sim

@@ -7,12 +7,13 @@
 // resolves same-tick precedence questions (the model's "precedes"
 // relation), while timestamps feed the Fack/Fprog bound checks.
 //
-// Storage is pluggable (trace_sink.h): the default in-memory vector
-// keeps `records()` random access for tests and tools, while the disk
-// spool bounds resident memory to a small write buffer so checked runs
-// scale with the topology, not the event count.  Consumers attached via
-// attachConsumer() observe every record at commit time — the streaming
-// oracles ride this tee and never need the stored trace at all.
+// The trace owns its storage, chosen by TraceMode: the default
+// in-memory vector keeps `records()` random access for tests and tools,
+// while the disk spool (trace_sink.h) bounds resident memory to a small
+// write buffer so checked runs scale with the topology, not the event
+// count.  Consumers attached via attachConsumer() observe every record
+// at commit time whether or not the trace stores it — the streaming
+// oracles ride this feed and never need the stored trace at all.
 #pragma once
 
 #include <cstdint>
@@ -88,18 +89,20 @@ struct TraceMode {
   }
 };
 
-/// Observer of records as they are committed (trace_sink.h tee).
+/// Observer of records as they are committed.
 class TraceConsumer {
  public:
   virtual ~TraceConsumer() = default;
   virtual void onRecord(const TraceRecord& record) = 0;
 };
 
-class TraceSink;
+class SpoolTraceSink;
 
-/// An append-only event log over a pluggable sink.  Recording can be
-/// disabled for large benchmark runs (bounds are still enforced online
-/// by the engine).  Move-only: the sink may own an open spool file.
+/// An append-only event log that feeds its consumers and, when
+/// enabled, stores every record.  Storing can be disabled for large
+/// runs (bounds are still enforced online by the engine, and attached
+/// consumers still see every record).  Move-only: the spool owns an
+/// open file.
 class Trace {
  public:
   explicit Trace(bool enabled = true, TraceMode mode = {});
@@ -109,52 +112,56 @@ class Trace {
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
-  /// True when records are being kept.
+  /// True when records are being stored.
   bool enabled() const { return enabled_; }
 
   /// The storage mode this trace was built with.
   const TraceMode& mode() const { return mode_; }
 
-  /// Appends a record (no-op when disabled).
+  /// Commits a record: stores it when enabled, then feeds every
+  /// attached consumer.
   void add(const TraceRecord& record) {
-    if (!enabled_) return;
-    if (memVec_ != nullptr && !teed_) {
-      memVec_->push_back(record);
-      return;
+    if (enabled_) {
+      if (spool_ == nullptr) {
+        records_.push_back(record);
+      } else {
+        spoolAdd(record);
+      }
     }
-    slowAdd(record);
+    for (TraceConsumer* consumer : consumers_) consumer->onRecord(record);
   }
 
-  /// All records in execution order.  Only the in-memory sink supports
+  /// All records in execution order.  Only the in-memory store supports
   /// random access; throws ammb::Error for spool-backed traces (use
-  /// forEach), and returns an empty vector when recording is disabled.
+  /// forEach), and returns an empty vector when storing is disabled.
   const std::vector<TraceRecord>& records() const;
 
-  /// Number of records kept.
+  /// Number of records stored.
   std::size_t size() const;
 
-  /// Timestamp of the last record appended (0 when empty) — the
-  /// default checking horizon, available without replaying a spool.
+  /// Timestamp of the last record stored (0 when empty) — the default
+  /// checking horizon, available without replaying a spool.
   Time lastTime() const;
 
   /// Replays every stored record in execution order.  For the spool
-  /// sink this flushes the write buffer and streams from disk.
+  /// this flushes the write buffer and streams from disk.
   void forEach(const std::function<void(const TraceRecord&)>& fn) const;
 
-  /// Registers a live observer of every subsequently added record
-  /// (commit-order tee; not owned).  No-op when recording is disabled.
+  /// Registers a live observer of every subsequently added record, in
+  /// commit order (not owned).  Consumers are fed whether or not the
+  /// trace stores records.
   void attachConsumer(TraceConsumer* consumer);
 
  private:
-  void slowAdd(const TraceRecord& record);
+  void spoolAdd(const TraceRecord& record);
 
   bool enabled_;
   TraceMode mode_;
-  std::unique_ptr<TraceSink> sink_;
-  /// Fast-path append target when the sink is the in-memory vector.
-  std::vector<TraceRecord>* memVec_ = nullptr;
-  /// True once a consumer tee wraps the sink (fast path disabled).
-  bool teed_ = false;
+  /// The store under TraceMode mem.
+  std::vector<TraceRecord> records_;
+  /// The store under TraceMode spool (null under mem, or when disabled).
+  std::unique_ptr<SpoolTraceSink> spool_;
+  std::vector<TraceConsumer*> consumers_;
 };
 
 }  // namespace ammb::sim

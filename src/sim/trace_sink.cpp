@@ -123,11 +123,4 @@ void SpoolTraceSink::replay(
   std::fseek(file_, 0, SEEK_END);
 }
 
-std::unique_ptr<TraceSink> makeTraceSink(const TraceMode& mode) {
-  if (mode.kind == TraceMode::Kind::kSpool) {
-    return std::make_unique<SpoolTraceSink>(mode.bufRecords);
-  }
-  return std::make_unique<MemTraceSink>();
-}
-
 }  // namespace ammb::sim

@@ -1,17 +1,10 @@
-// Trace storage backends.
+// The disk spool behind TraceMode spool.
 //
-// A TraceSink stores committed TraceRecords and replays them in commit
-// order.  Three implementations:
-//
-//   MemTraceSink   — the classic std::vector (random access; the only
-//                    sink whose memRecords() is non-null)
-//   SpoolTraceSink — bounded-buffer disk spool: fixed 25-byte
-//                    little-endian record encoding, buffered appends,
-//                    sequential replay from the file.  Resident memory
-//                    is the write buffer, independent of event count.
-//   TeeTraceSink   — wraps a downstream sink and fans every committed
-//                    record out to registered TraceConsumers (the
-//                    streaming oracles' attachment point)
+// SpoolTraceSink is a bounded-buffer disk store: fixed 25-byte
+// little-endian record encoding, buffered appends, sequential replay
+// from the file.  Resident memory is the write buffer, independent of
+// event count.  sim::Trace owns one when its mode is spool; tests and
+// tools may also attach one to a named file.
 //
 // Replay of a spool tolerates a truncated tail record — the same
 // crashed-mid-write semantics as the sweep journal's parseJournal — but
@@ -21,61 +14,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/trace.h"
 
 namespace ammb::sim {
-
-/// Append-only record storage with ordered replay.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// Stores one record (records arrive in commit order).
-  virtual void append(const TraceRecord& record) = 0;
-
-  /// Number of records stored.
-  virtual std::size_t size() const = 0;
-
-  /// Timestamp of the last appended record (0 when empty).
-  virtual Time lastTime() const = 0;
-
-  /// Replays every stored record in append order.
-  virtual void replay(
-      const std::function<void(const TraceRecord&)>& fn) const = 0;
-
-  /// The backing vector when this sink is memory-backed, else nullptr.
-  virtual const std::vector<TraceRecord>* memRecords() const = 0;
-};
-
-/// The in-memory vector sink (default; bit-compatible with the
-/// pre-pipeline Trace).
-class MemTraceSink final : public TraceSink {
- public:
-  void append(const TraceRecord& record) override {
-    records_.push_back(record);
-  }
-  std::size_t size() const override { return records_.size(); }
-  Time lastTime() const override {
-    return records_.empty() ? 0 : records_.back().t;
-  }
-  void replay(
-      const std::function<void(const TraceRecord&)>& fn) const override {
-    for (const TraceRecord& r : records_) fn(r);
-  }
-  const std::vector<TraceRecord>* memRecords() const override {
-    return &records_;
-  }
-
-  /// Mutable access for the Trace fast path.
-  std::vector<TraceRecord>& records() { return records_; }
-
- private:
-  std::vector<TraceRecord> records_;
-};
 
 /// Bounded-buffer disk spool.
 ///
@@ -85,29 +29,28 @@ class MemTraceSink final : public TraceSink {
 /// to a std::tmpfile() that the OS unlinks automatically; the path
 /// constructor attaches to a named file (tests, offline inspection)
 /// and keeps whatever complete records it already holds.
-class SpoolTraceSink final : public TraceSink {
+class SpoolTraceSink {
  public:
   static constexpr std::size_t kRecordBytes = 25;
 
   explicit SpoolTraceSink(std::size_t bufRecords = TraceMode::kDefaultSpoolBuf);
   SpoolTraceSink(const std::string& path, std::size_t bufRecords);
-  ~SpoolTraceSink() override;
+  ~SpoolTraceSink();
 
   SpoolTraceSink(const SpoolTraceSink&) = delete;
   SpoolTraceSink& operator=(const SpoolTraceSink&) = delete;
 
-  void append(const TraceRecord& record) override;
-  std::size_t size() const override { return count_; }
-  Time lastTime() const override { return lastT_; }
+  /// Stores one record (records arrive in commit order).
+  void append(const TraceRecord& record);
+  /// Number of records stored.
+  std::size_t size() const { return count_; }
+  /// Timestamp of the last appended record (0 when empty).
+  Time lastTime() const { return lastT_; }
   /// Flushes pending appends, then streams the file front to back.  A
   /// truncated tail record (fewer than kRecordBytes bytes) is ignored,
   /// mirroring parseJournal's crashed-mid-write tolerance; a corrupt
   /// kind byte inside a complete record throws ammb::Error.
-  void replay(
-      const std::function<void(const TraceRecord&)>& fn) const override;
-  const std::vector<TraceRecord>* memRecords() const override {
-    return nullptr;
-  }
+  void replay(const std::function<void(const TraceRecord&)>& fn) const;
 
   /// Writes buffered records through to the file.
   void flush() const;
@@ -124,38 +67,5 @@ class SpoolTraceSink final : public TraceSink {
   std::size_t count_ = 0;
   Time lastT_ = 0;
 };
-
-/// Commit-order fan-out: forwards to a downstream sink, then notifies
-/// every registered consumer.
-class TeeTraceSink final : public TraceSink {
- public:
-  explicit TeeTraceSink(std::unique_ptr<TraceSink> downstream)
-      : downstream_(std::move(downstream)) {}
-
-  void addConsumer(TraceConsumer* consumer) {
-    consumers_.push_back(consumer);
-  }
-
-  void append(const TraceRecord& record) override {
-    downstream_->append(record);
-    for (TraceConsumer* c : consumers_) c->onRecord(record);
-  }
-  std::size_t size() const override { return downstream_->size(); }
-  Time lastTime() const override { return downstream_->lastTime(); }
-  void replay(
-      const std::function<void(const TraceRecord&)>& fn) const override {
-    downstream_->replay(fn);
-  }
-  const std::vector<TraceRecord>* memRecords() const override {
-    return downstream_->memRecords();
-  }
-
- private:
-  std::unique_ptr<TraceSink> downstream_;
-  std::vector<TraceConsumer*> consumers_;
-};
-
-/// Builds the sink a TraceMode names.
-std::unique_ptr<TraceSink> makeTraceSink(const TraceMode& mode);
 
 }  // namespace ammb::sim

@@ -46,7 +46,7 @@ TEST_P(GgBound, LineRespectsTheorem316) {
   EXPECT_LE(result.solveTime, bound)
       << "scheduler " << core::toString(sched);
   const auto check =
-      mac::checkTrace(topo, config.mac, experiment.engine().trace());
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -79,7 +79,7 @@ TEST_P(RRestrictedBound, LineWithRNoiseRespectsTheorem316) {
   ASSERT_TRUE(result.solved);
   EXPECT_LE(result.solveTime, core::bmmbRRestrictedBound(D, k, r, config.mac));
   const auto check =
-      mac::checkTrace(topo, config.mac, experiment.engine().trace());
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -109,7 +109,7 @@ TEST_P(ArbitraryBound, LongRangeNoiseRespectsTheorem31) {
   ASSERT_TRUE(result.solved);
   EXPECT_LE(result.solveTime, core::bmmbArbitraryBound(D, k, config.mac));
   const auto check =
-      mac::checkTrace(topo, config.mac, experiment.engine().trace());
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 

@@ -32,8 +32,8 @@ RunResult runChecked(
                         config);
   const RunResult result = experiment.run();
   EXPECT_TRUE(result.solved) << "BMMB failed to solve MMB";
-  const auto macCheck = mac::checkTrace(topo, config.mac,
-                                        experiment.engine().trace());
+  const auto macCheck =
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   EXPECT_TRUE(macCheck.ok) << macCheck.summary();
   const auto mmbCheck =
       core::checkMmbTrace(topo, workload, experiment.engine().trace());

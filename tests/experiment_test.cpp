@@ -132,8 +132,8 @@ TEST(OnlineArrivals, BmmbSolvesStaggeredWorkload) {
   ASSERT_TRUE(result.solved);
   // The last message arrives at t=250; solving must come later.
   EXPECT_GE(result.solveTime, 250);
-  const auto mac = mac::checkTrace(topo, config.mac,
-                                   experiment.engine().trace());
+  const auto mac =
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   EXPECT_TRUE(mac.ok) << mac.summary();
   const auto mmb =
       core::checkMmbTrace(topo, workload, experiment.engine().trace());
@@ -204,7 +204,8 @@ TEST(Experiment, TracerCanBeDisabled) {
   ASSERT_TRUE(experiment.run().solved);
   EXPECT_EQ(experiment.engine().trace().size(), 0u);
   EXPECT_THROW(
-      mac::checkTrace(topo, config.mac, experiment.engine().trace()), Error);
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace()),
+      Error);
 }
 
 TEST(Experiment, SeedSweepIsPerSeedDeterministic) {

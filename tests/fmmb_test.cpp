@@ -34,8 +34,8 @@ core::RunResult runCheckedFmmb(const graph::DualGraph& topo,
   const auto result = experiment.run();
   EXPECT_TRUE(result.solved) << "FMMB failed to solve";
   if (checkAxioms && result.solved) {
-    const auto mac = mac::checkTrace(topo, config.mac,
-                                     experiment.engine().trace(),
+    const auto mac = mac::checkTrace(experiment.view(), config.mac,
+                                     experiment.trace(),
                                      experiment.engine().now());
     EXPECT_TRUE(mac.ok) << mac.summary();
     const auto mmb = core::checkMmbTrace(topo, workload,

@@ -68,8 +68,8 @@ TEST_P(BmmbIntegration, SolvesAndSatisfiesEveryAxiom) {
                               config);
   const auto result = experiment.run();
   ASSERT_TRUE(result.solved);
-  const auto macCheck = mac::checkTrace(topo, config.mac,
-                                        experiment.engine().trace());
+  const auto macCheck =
+      mac::checkTrace(experiment.view(), config.mac, experiment.trace());
   EXPECT_TRUE(macCheck.ok) << macCheck.summary();
   const auto mmbCheck =
       core::checkMmbTrace(topo, workload, experiment.engine().trace());

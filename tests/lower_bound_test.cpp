@@ -44,7 +44,7 @@ TEST(LowerBound, NetworkCDelaysBmmbByOmegaDFack) {
         << "D=" << D;
     // The adversary must play by the rules.
     const auto check =
-        mac::checkTrace(topo, config.mac, experiment.engine().trace());
+        mac::checkTrace(experiment.view(), config.mac, experiment.trace());
     EXPECT_TRUE(check.ok) << "D=" << D << ": " << check.summary();
     const auto mmb =
         core::checkMmbTrace(topo, w, experiment.engine().trace());
@@ -118,7 +118,7 @@ TEST(LowerBound, BridgeStarChokesAtKFack) {
     EXPECT_LE(result.solveTime,
               static_cast<Time>(k + 1) * config.mac.fack);
     const auto check =
-        mac::checkTrace(topo, config.mac, experiment.engine().trace());
+        mac::checkTrace(experiment.view(), config.mac, experiment.trace());
     EXPECT_TRUE(check.ok) << check.summary();
   }
 }

@@ -54,8 +54,9 @@ TEST(MacEngine, WakeHappensBeforeArrivals) {
    private:
     std::vector<std::string>& log_;
   };
+  const graph::TopologyView view(topo);
   MacEngine engine(
-      topo, stdParams(), std::make_unique<FastScheduler>(),
+      view, stdParams(), std::make_unique<FastScheduler>(),
       [&log](NodeId) { return std::make_unique<Recorder>(log); }, 1);
   engine.injectArriveAt(0, 0, 0);
   engine.run();
@@ -76,7 +77,8 @@ TEST(MacEngine, DoubleBcastViolatesWellFormedness) {
       ctx.bcast(std::move(b));  // before the ack: must throw
     }
   };
-  MacEngine engine(topo, stdParams(), std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(), std::make_unique<FastScheduler>(),
                    [](NodeId) { return std::make_unique<DoubleSender>(); }, 1);
   EXPECT_THROW(engine.run(), Error);
 }
@@ -93,7 +95,8 @@ TEST(MacEngine, PacketCapacityEnforced) {
   };
   auto params = stdParams();
   params.msgCapacity = 2;
-  MacEngine engine(topo, params, std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, params, std::make_unique<FastScheduler>(),
                    [](NodeId) { return std::make_unique<FatSender>(); }, 1);
   EXPECT_THROW(engine.run(), Error);
 }
@@ -104,7 +107,8 @@ TEST(MacEngine, StandardModelForbidsEnhancedApis) {
    public:
     void onWake(Context& ctx) override { ctx.setTimerAfter(1); }
   };
-  MacEngine engine(topo, stdParams(), std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(), std::make_unique<FastScheduler>(),
                    [](NodeId) { return std::make_unique<Cheater>(); }, 1);
   EXPECT_THROW(engine.run(), Error);
 }
@@ -115,7 +119,8 @@ TEST(MacEngine, StandardModelForbidsClockAndAbort) {
    public:
     void onWake(Context& ctx) override { (void)ctx.now(); }
   };
-  MacEngine e1(topo, stdParams(), std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine e1(view, stdParams(), std::make_unique<FastScheduler>(),
                [](NodeId) { return std::make_unique<ClockCheater>(); }, 1);
   EXPECT_THROW(e1.run(), Error);
 
@@ -127,7 +132,7 @@ TEST(MacEngine, StandardModelForbidsClockAndAbort) {
       ctx.abortBcast();
     }
   };
-  MacEngine e2(topo, stdParams(), std::make_unique<FastScheduler>(),
+  MacEngine e2(view, stdParams(), std::make_unique<FastScheduler>(),
                [](NodeId) { return std::make_unique<AbortCheater>(); }, 1);
   EXPECT_THROW(e2.run(), Error);
 }
@@ -190,7 +195,8 @@ TEST(MacEngine, RejectsIllegalPlans) {
   for (Flaw flaw : {Flaw::kLateAck, Flaw::kMissGNeighbor,
                     Flaw::kDuplicateTarget, Flaw::kOutsideGp,
                     Flaw::kDeliveryAfterAck}) {
-    MacEngine engine(topo, stdParams(),
+    const graph::TopologyView view(topo);
+    MacEngine engine(view, stdParams(),
                      std::make_unique<BrokenScheduler>(flaw),
                      [](NodeId) { return std::make_unique<SendOnce>(); }, 1);
     EXPECT_THROW(engine.run(), Error) << "flaw " << static_cast<int>(flaw);
@@ -201,14 +207,15 @@ TEST(MacEngine, RejectsIllegalPlans) {
 
 TEST(MacEngine, AckArrivesAfterAllGNeighborsReceive) {
   const auto topo = gen::identityDual(gen::star(6));
-  MacEngine engine(topo, stdParams(), std::make_unique<SlowAckScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(), std::make_unique<SlowAckScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 0) return std::make_unique<ChainSender>(1);
                      return std::make_unique<Idle>();
                    },
                    1);
   engine.run();
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
   EXPECT_EQ(engine.stats().acks, 1u);
   EXPECT_EQ(engine.stats().rcvs, 5u);
@@ -219,7 +226,8 @@ TEST(MacEngine, ProgressGuardForcesDeliveryUnderAdversary) {
   // With G' = G the adversary has no junk: the guard must force the
   // real message within Fprog even though the plan says Fack.
   const auto topo = gen::identityDual(gen::line(2));
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<AdversarialScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 0) return std::make_unique<ChainSender>(1);
@@ -235,13 +243,14 @@ TEST(MacEngine, ProgressGuardForcesDeliveryUnderAdversary) {
   for (const auto& rec : recs) {
     if (rec.kind == sim::TraceKind::kRcv) EXPECT_EQ(rec.t, 4);
   }
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
 TEST(MacEngine, BackToBackBroadcastsRespectAckBound) {
   const auto topo = gen::identityDual(gen::line(2));
-  MacEngine engine(topo, stdParams(2, 16), std::make_unique<SlowAckScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(2, 16), std::make_unique<SlowAckScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 0) return std::make_unique<ChainSender>(5);
                      return std::make_unique<Idle>();
@@ -250,7 +259,7 @@ TEST(MacEngine, BackToBackBroadcastsRespectAckBound) {
   engine.run();
   EXPECT_EQ(engine.stats().bcasts, 5u);
   EXPECT_EQ(engine.now(), 5 * 16);
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -289,7 +298,8 @@ TEST(MacEngine, EnhancedRoundsAbortAndStayWellFormed) {
   const auto topo = gen::identityDual(gen::line(3));
   const auto params = enhParams(4, 64);
   const Time period = params.fprog + 1;
-  MacEngine engine(topo, params, std::make_unique<AdversarialScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, params, std::make_unique<AdversarialScheduler>(),
                    [&](NodeId) {
                      return std::make_unique<RoundSender>(period, 6);
                    },
@@ -299,7 +309,7 @@ TEST(MacEngine, EnhancedRoundsAbortAndStayWellFormed) {
   EXPECT_EQ(engine.stats().aborts, 6u);  // adversary acks at Fack > round
   // Node 1 (G-neighbor of the sender) received something every round.
   EXPECT_GE(engine.stats().rcvs, 6u);
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -318,13 +328,14 @@ TEST(MacEngine, AbortCancelsLateDeliveries) {
     }
   };
   // SlowAck plans the delivery at fprog = 4 > abort time 2.
-  MacEngine engine(topo, enhParams(4, 32), std::make_unique<SlowAckScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, enhParams(4, 32), std::make_unique<SlowAckScheduler>(),
                    [](NodeId) { return std::make_unique<AbortEarly>(); }, 1);
   engine.run();
   EXPECT_EQ(engine.stats().aborts, 1u);
   EXPECT_EQ(engine.stats().rcvs, 0u);
   EXPECT_EQ(engine.stats().acks, 0u);
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -351,7 +362,8 @@ TEST(MacEngine, TimersFireAndCancel) {
     TimerId drop_ = kNoTimer;
   };
   TimerUser* p0 = nullptr;
-  MacEngine engine(topo, enhParams(), std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, enhParams(), std::make_unique<FastScheduler>(),
                    [&p0](NodeId node) {
                      auto p = std::make_unique<TimerUser>();
                      if (node == 0) p0 = p.get();
@@ -375,7 +387,8 @@ TEST(MacEngine, EnhancedContextExposesConstants) {
       EXPECT_TRUE(ctx.isGNeighbor(1 - ctx.id()));
     }
   };
-  MacEngine engine(topo, enhParams(4, 32), std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, enhParams(4, 32), std::make_unique<FastScheduler>(),
                    [](NodeId) { return std::make_unique<Reader>(); }, 1);
   engine.run();
 }
@@ -383,7 +396,8 @@ TEST(MacEngine, EnhancedContextExposesConstants) {
 TEST(MacEngine, UnreliableDeliveryReachesGPrimeOnlyNeighbors) {
   Rng rng(3);
   const auto topo = gen::withArbitraryNoise(gen::line(4), 2, rng);
-  MacEngine engine(topo, stdParams(), std::make_unique<FastScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(), std::make_unique<FastScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 0) return std::make_unique<ChainSender>(1);
                      return std::make_unique<Idle>();
@@ -435,7 +449,9 @@ TEST(MacEngine, AckInFlightAcrossEpochBoundary) {
   }
   EXPECT_TRUE(sawEpoch);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
-  EXPECT_FALSE(checkTrace(base, engine.params(), engine.trace()).ok);
+  EXPECT_FALSE(
+      checkTrace(graph::TopologyView(base), engine.params(), engine.trace())
+          .ok);
 }
 
 // The boundary scrub walks each instance's pending deliveries in place
@@ -493,8 +509,9 @@ TEST(MacEngine, EpochScrubCancelsAbortGraceDeliveries) {
   const auto factory = [](NodeId) { return std::make_unique<AbortEarly>(); };
 
   const auto base = gen::identityDual(gen::line(2));
-  MacEngine still(base, params, std::make_unique<SlowAckScheduler>(), factory,
-                  1);
+  const graph::TopologyView baseView(base);
+  MacEngine still(baseView, params, std::make_unique<SlowAckScheduler>(),
+                  factory, 1);
   still.run();
   EXPECT_EQ(still.stats().aborts, 1u);
   EXPECT_EQ(still.stats().rcvs, 1u);
@@ -512,9 +529,10 @@ TEST(MacEngine, EpochScrubCancelsAbortGraceDeliveries) {
   EXPECT_TRUE(checkTrace(view, dropped.params(), dropped.trace()).ok);
 }
 
-// The DualGraph constructor is a convenience over an owned static
-// view: both constructors run the same execution record for record.
-TEST(MacEngine, ViewAndDualGraphConstructorsAgree) {
+// Engines only read their view, so two engines can share one; and a
+// run driven through the MacLayer seam (as core::Experiment drives
+// every backend) is the run driven on the engine directly.
+TEST(MacEngine, EnginesSharingOneViewAgreeThroughTheLayerSeam) {
   Rng rng(5);
   const auto topo = gen::withArbitraryNoise(gen::grid(4, 4), 2, rng);
   const graph::TopologyView view(topo);
@@ -522,22 +540,24 @@ TEST(MacEngine, ViewAndDualGraphConstructorsAgree) {
     if (node % 3 == 0) return std::make_unique<ChainSender>(2);
     return std::make_unique<Idle>();
   };
-  MacEngine fromDual(topo, stdParams(), std::make_unique<RandomScheduler>(),
-                     factory, 9);
-  MacEngine fromView(view, stdParams(), std::make_unique<RandomScheduler>(),
-                     factory, 9);
-  fromDual.run();
-  fromView.run();
+  MacEngine direct(view, stdParams(), std::make_unique<RandomScheduler>(),
+                   factory, 9);
+  MacEngine seamEngine(view, stdParams(), std::make_unique<RandomScheduler>(),
+                       factory, 9);
+  MacLayer& seam = seamEngine;
+  direct.run();
+  EXPECT_EQ(seam.run(), sim::RunStatus::kDrained);
 
-  const auto& a = fromDual.trace().records();
-  const auto& b = fromView.trace().records();
+  const auto& a = direct.trace().records();
+  const auto& b = seam.trace().records();
   ASSERT_EQ(a.size(), b.size());
   ASSERT_GT(a.size(), 0u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(sim::toString(a[i]), sim::toString(b[i])) << "record " << i;
   }
-  EXPECT_EQ(fromDual.stats().rcvs, fromView.stats().rcvs);
-  EXPECT_EQ(fromDual.stats().forcedRcvs, fromView.stats().forcedRcvs);
+  EXPECT_EQ(direct.stats().rcvs, seam.stats().rcvs);
+  EXPECT_EQ(direct.stats().forcedRcvs, seam.stats().forcedRcvs);
+  EXPECT_EQ(direct.now(), seam.now());
 }
 
 }  // namespace

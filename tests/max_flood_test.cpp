@@ -25,11 +25,12 @@ FloodOutcome runFlood(const graph::DualGraph& topo,
                       std::uint64_t seed,
                       MaxFloodSuite::ValueFn values = nullptr) {
   MaxFloodSuite suite(std::move(values));
-  mac::MacEngine engine(topo, stdParams(4, 32), std::move(scheduler),
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, stdParams(4, 32), std::move(scheduler),
                         suite.factory(), seed);
   const auto status = engine.run();
   EXPECT_EQ(status, sim::RunStatus::kDrained);  // quiescence
-  const auto check = mac::checkTrace(topo, engine.params(), engine.trace());
+  const auto check = mac::checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
   FloodOutcome out;
   for (NodeId v = 0; v < topo.n(); ++v) {

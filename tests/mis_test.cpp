@@ -30,14 +30,15 @@ MisOutcome runMis(const graph::DualGraph& topo, double c,
   const auto params = FmmbParams::make(topo.n(), c);
   MisSuite suite(params);
   const auto macParams = enhParams(4, 64);
-  mac::MacEngine engine(topo, macParams, std::move(scheduler),
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, macParams, std::move(scheduler),
                         suite.factory(), seed, /*traceEnabled=*/checkAxioms);
   const Time roundLen = macParams.fprog + 1;
   const Time misEnd = params.misRounds() * roundLen;
   engine.run(misEnd + roundLen);
   if (checkAxioms) {
     const auto check =
-        mac::checkTrace(topo, macParams, engine.trace(), engine.now());
+        mac::checkTrace(view, macParams, engine.trace(), engine.now());
     EXPECT_TRUE(check.ok) << check.summary();
   }
   MisOutcome out;

@@ -25,7 +25,7 @@ namespace ammb {
 namespace {
 
 using core::ExecutionBackend;
-using core::NetBackendParams;
+using mac::NetBackendParams;
 
 namespace gen = graph::gen;
 
@@ -183,7 +183,7 @@ TEST(NetBackendEngine, IdleSystemDrainsImmediately) {
   const graph::DualGraph topology = gen::identityDual(gen::line(3));
   const graph::TopologyView view(topology);
   net::NetConfig config;
-  config.tickUs = 100;
+  config.net.tickUs = 100;
   net::NetEngine engine(view, testutil::stdParams(4, 32),
                         [](NodeId) { return std::make_unique<mac::Process>(); },
                         config);

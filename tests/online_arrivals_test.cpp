@@ -253,7 +253,7 @@ TEST(OnlineArrivals, StreamingSolvesUnderAdversarialSchedulers) {
     EXPECT_LE(result.messages.p95Latency, result.messages.maxLatency);
     // The adversary must play by the rules even with online arrivals.
     const auto macCheck =
-        mac::checkTrace(topo, config.mac, experiment.engine().trace());
+        mac::checkTrace(experiment.view(), config.mac, experiment.trace());
     EXPECT_TRUE(macCheck.ok) << macCheck.summary();
     const auto workload = core::materializeWorkload(arrivals);
     const auto mmbCheck =

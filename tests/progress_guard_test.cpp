@@ -109,7 +109,8 @@ TEST(ProgressGuard, ForcesExactlyOneDeliveryPerInstanceLifetime) {
   // delivery at fprog, and the single rcv covers the rest of the
   // instance's lifetime (no further forcing).
   const auto topo = gen::identityDual(gen::line(2));
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<AdversarialScheduler>(),
                    [](NodeId) -> std::unique_ptr<Process> {
                      return std::make_unique<SendN>(3);
@@ -124,7 +125,7 @@ TEST(ProgressGuard, ForcesExactlyOneDeliveryPerInstanceLifetime) {
     if (rec.kind == sim::TraceKind::kRcv) rcvTimes.push_back(rec.t);
   }
   EXPECT_EQ(rcvTimes, (std::vector<Time>{4, 36, 68}));
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -142,7 +143,8 @@ TEST(ProgressGuard, JunkCoverageSuppressesForcedRealDeliveries) {
   gp.finalize();
   const graph::DualGraph topo(std::move(g), std::move(gp));
 
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<AdversarialScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 0) return std::make_unique<SendN>(1, 0);
@@ -164,7 +166,7 @@ TEST(ProgressGuard, JunkCoverageSuppressesForcedRealDeliveries) {
   // only arrived with the ack at fack.
   EXPECT_EQ(junkAt, 4);
   EXPECT_EQ(realAt, 32);
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -183,7 +185,8 @@ TEST(ProgressGuard, CoverageExpiresWhenJunkInstanceTerminates) {
   gp.finalize();
   const graph::DualGraph topo(std::move(g), std::move(gp));
 
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<AdversarialScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 0) return std::make_unique<SendN>(4, 0);
@@ -192,7 +195,7 @@ TEST(ProgressGuard, CoverageExpiresWhenJunkInstanceTerminates) {
                    },
                    1);
   engine.run();
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
   // Node 1 must have received >= 4 messages in total: the junk one,
   // plus coverage for the later broadcasts of node 0 after the junk
@@ -216,7 +219,8 @@ TEST(ProgressGuard, NoObligationWithoutGNeighborBroadcast) {
   gp.finalize();
   const graph::DualGraph topo(std::move(g), std::move(gp));
 
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<AdversarialScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      if (node == 2) return std::make_unique<SendN>(1, 2);
@@ -228,7 +232,7 @@ TEST(ProgressGuard, NoObligationWithoutGNeighborBroadcast) {
   // Node 2 has no G-neighbors at all, so its instance acks with no
   // deliveries — and that execution is still model-compliant.
   EXPECT_EQ(engine.instance(0).deliveredTo.size(), 0u);
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -247,7 +251,8 @@ TEST(ProgressGuard, ZeroDurationInstancesCreateNoObligation) {
     }
   };
   const auto topo = gen::identityDual(gen::line(3));
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<InstantScheduler>(),
                    [](NodeId node) -> std::unique_ptr<Process> {
                      return std::make_unique<SendN>(node == 0 ? 5 : 0, node);
@@ -256,7 +261,7 @@ TEST(ProgressGuard, ZeroDurationInstancesCreateNoObligation) {
   engine.run();
   EXPECT_EQ(engine.stats().forcedRcvs, 0u);
   EXPECT_EQ(engine.now(), 0);  // everything happened at t = 0
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -278,12 +283,13 @@ TEST(ProgressGuard, AbortCancelsTheObligation) {
   auto params = stdParams(4, 32);
   params.variant = ModelVariant::kEnhanced;
   const auto topo = gen::identityDual(gen::line(2));
-  MacEngine engine(topo, params, std::make_unique<AdversarialScheduler>(),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, params, std::make_unique<AdversarialScheduler>(),
                    [](NodeId) { return std::make_unique<AbortQuick>(); }, 1);
   engine.run();
   EXPECT_EQ(engine.stats().forcedRcvs, 0u);
   EXPECT_EQ(engine.stats().rcvs, 0u);
-  const auto check = checkTrace(topo, params, engine.trace());
+  const auto check = checkTrace(view, params, engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -297,7 +303,8 @@ TEST(ProgressGuard, GraceReceiveCoversOnlyThroughTheAbort) {
   params.variant = ModelVariant::kEnhanced;
   params.epsAbort = 3;
   const auto topo = receiverStar(3);
-  MacEngine engine(topo, params,
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, params,
                    std::make_unique<ScriptedScheduler>(
                        std::vector<ScriptedScheduler::Script>{
                            {32, 32}, {0, 0}, {3, 32}}),
@@ -310,7 +317,7 @@ TEST(ProgressGuard, GraceReceiveCoversOnlyThroughTheAbort) {
   EXPECT_EQ(rcvsAt(engine, 1),
             (std::vector<std::pair<Time, NodeId>>{{3, 2}, {6, 0}}));
   EXPECT_EQ(engine.stats().forcedRcvs, 1u);
-  const auto check = checkTrace(topo, params, engine.trace());
+  const auto check = checkTrace(view, params, engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -321,7 +328,8 @@ TEST(ProgressGuard, OverlappingLiveCoversReleaseOnlyWhenTheLastTerminates) {
   // covered; the second re-arms the deadline at window start 20, so
   // the guard forces node 0's message at 20 + fprog = 24.
   const auto topo = receiverStar(4);
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<ScriptedScheduler>(
                        std::vector<ScriptedScheduler::Script>{
                            {32, 32}, {0, 0}, {1, 10}, {2, 20}}),
@@ -333,7 +341,7 @@ TEST(ProgressGuard, OverlappingLiveCoversReleaseOnlyWhenTheLastTerminates) {
   EXPECT_EQ(rcvsAt(engine, 1), (std::vector<std::pair<Time, NodeId>>{
                                    {1, 2}, {2, 3}, {24, 0}}));
   EXPECT_EQ(engine.stats().forcedRcvs, 1u);
-  const auto check = checkTrace(topo, engine.params(), engine.trace());
+  const auto check = checkTrace(view, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -382,9 +390,11 @@ TEST(ProgressGuard, InterleavedEnginesMatchSoloRuns) {
   Rng rngB(12);
   const auto topoA = gen::withArbitraryNoise(gen::grid(4, 4), 2, rngA);
   const auto topoB = gen::withArbitraryNoise(gen::ring(12), 3, rngB);
-  const auto make = [](const graph::DualGraph& topo) {
+  const graph::TopologyView viewA(topoA);
+  const graph::TopologyView viewB(topoB);
+  const auto make = [](const graph::TopologyView& view) {
     return std::make_unique<MacEngine>(
-        topo, stdParams(4, 32), std::make_unique<AdversarialScheduler>(),
+        view, stdParams(4, 32), std::make_unique<AdversarialScheduler>(),
         [](NodeId node) -> std::unique_ptr<Process> {
           return std::make_unique<SendN>(3, node);
         },
@@ -398,15 +408,15 @@ TEST(ProgressGuard, InterleavedEnginesMatchSoloRuns) {
     return lines;
   };
 
-  auto soloA = make(topoA);
-  auto soloB = make(topoB);
+  auto soloA = make(viewA);
+  auto soloB = make(viewB);
   soloA->run();
   soloB->run();
   ASSERT_GT(soloA->stats().forcedRcvs, 0u);
   ASSERT_GT(soloB->stats().forcedRcvs, 0u);
 
-  auto a = make(topoA);
-  auto b = make(topoB);
+  auto a = make(viewA);
+  auto b = make(viewB);
   for (Time limit = 2; limit < 200; limit += 3) {
     a->run(limit);
     b->run(limit);

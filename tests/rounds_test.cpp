@@ -35,7 +35,8 @@ class Recorder : public core::RoundedProcess {
 TEST(Rounds, BoundariesAreExactMultiplesOfFprogPlusOne) {
   const auto topo = gen::identityDual(gen::line(2));
   Recorder* r0 = nullptr;
-  mac::MacEngine engine(topo, enhParams(4, 64),
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, enhParams(4, 64),
                         std::make_unique<mac::FastScheduler>(),
                         [&r0](NodeId node) {
                           auto p = std::make_unique<Recorder>();
@@ -54,7 +55,8 @@ TEST(Rounds, BoundariesAreExactMultiplesOfFprogPlusOne) {
 
 TEST(Rounds, SlowAcksAreAbortedAtTheBoundary) {
   const auto topo = gen::identityDual(gen::line(2));
-  mac::MacEngine engine(topo, enhParams(4, 64),
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, enhParams(4, 64),
                         std::make_unique<mac::SlowAckScheduler>(),
                         [](NodeId) { return std::make_unique<Recorder>(); },
                         1);
@@ -70,7 +72,8 @@ TEST(Rounds, SlowAcksAreAbortedAtTheBoundary) {
 
 TEST(Rounds, FastAcksNeedNoAbort) {
   const auto topo = gen::identityDual(gen::line(2));
-  mac::MacEngine engine(topo, enhParams(4, 64),
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, enhParams(4, 64),
                         std::make_unique<mac::FastScheduler>(),
                         [](NodeId) { return std::make_unique<Recorder>(); },
                         1);
@@ -81,7 +84,8 @@ TEST(Rounds, FastAcksNeedNoAbort) {
 
 TEST(Rounds, RequiresEnhancedModel) {
   const auto topo = gen::identityDual(gen::line(2));
-  mac::MacEngine engine(topo, stdParams(4, 64),
+  const graph::TopologyView view(topo);
+  mac::MacEngine engine(view, stdParams(4, 64),
                         std::make_unique<mac::FastScheduler>(),
                         [](NodeId) { return std::make_unique<Recorder>(); },
                         1);

@@ -31,9 +31,9 @@ MacEngine::ProcessFactory oneShotFactory() {
 /// arbitrary G'-edge from 0 to 3, and returns the engine for
 /// inspection.
 std::unique_ptr<MacEngine> runOneShot(std::unique_ptr<Scheduler> scheduler,
-                                      const graph::DualGraph& topo) {
+                                      const graph::TopologyView& view) {
   auto engine = std::make_unique<MacEngine>(
-      topo, stdParams(4, 32), std::move(scheduler), oneShotFactory(), 1);
+      view, stdParams(4, 32), std::move(scheduler), oneShotFactory(), 1);
   engine->run();
   return engine;
 }
@@ -55,7 +55,8 @@ graph::DualGraph lineWithSkip() {
 
 TEST(FastScheduler, DeliversEverywhereImmediately) {
   const auto topo = lineWithSkip();
-  const auto engine = runOneShot(std::make_unique<FastScheduler>(), topo);
+  const graph::TopologyView view(topo);
+  const auto engine = runOneShot(std::make_unique<FastScheduler>(), view);
   const Instance& inst = engine->instance(0);
   // G-neighbor 1 and G'-only neighbor 3 both receive at +1.
   EXPECT_EQ(inst.deliveredTo.size(), 2u);
@@ -68,8 +69,9 @@ TEST(FastScheduler, GPrimeDeliveryCanBeDisabled) {
   FastScheduler::Options opts;
   opts.deliverGPrime = false;
   const auto topo = lineWithSkip();
+  const graph::TopologyView view(topo);
   const auto engine =
-      runOneShot(std::make_unique<FastScheduler>(opts), topo);
+      runOneShot(std::make_unique<FastScheduler>(opts), view);
   const Instance& inst = engine->instance(0);
   EXPECT_EQ(inst.deliveredTo.size(), 1u);
   EXPECT_FALSE(inst.hasDeliveredTo(3));
@@ -77,7 +79,8 @@ TEST(FastScheduler, GPrimeDeliveryCanBeDisabled) {
 
 TEST(SlowAckScheduler, DeliversAtFprogAcksAtFack) {
   const auto topo = lineWithSkip();
-  const auto engine = runOneShot(std::make_unique<SlowAckScheduler>(), topo);
+  const graph::TopologyView view(topo);
+  const auto engine = runOneShot(std::make_unique<SlowAckScheduler>(), view);
   const Instance& inst = engine->instance(0);
   EXPECT_EQ(inst.deliveredTo.size(), 1u);  // no unreliable deliveries
   EXPECT_EQ(inst.termAt, 32);
@@ -89,9 +92,10 @@ TEST(SlowAckScheduler, DeliversAtFprogAcksAtFack) {
 
 TEST(RandomScheduler, StaysWithinLegalWindows) {
   const auto topo = lineWithSkip();
+  const graph::TopologyView view(topo);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     auto engine = std::make_unique<MacEngine>(
-        topo, stdParams(4, 32), std::make_unique<RandomScheduler>(),
+        view, stdParams(4, 32), std::make_unique<RandomScheduler>(),
         oneShotFactory(), seed);
     engine->run();
     const Instance& inst = engine->instance(0);
@@ -107,14 +111,15 @@ TEST(RandomScheduler, StaysWithinLegalWindows) {
 
 TEST(RandomScheduler, UnreliableProbabilityZeroAndOne) {
   const auto topo = lineWithSkip();
+  const graph::TopologyView view(topo);
   RandomScheduler::Options never;
   never.pUnreliable = 0.0;
-  auto e1 = runOneShot(std::make_unique<RandomScheduler>(never), topo);
+  auto e1 = runOneShot(std::make_unique<RandomScheduler>(never), view);
   EXPECT_FALSE(e1->instance(0).hasDeliveredTo(3));
 
   RandomScheduler::Options always;
   always.pUnreliable = 1.0;
-  auto e2 = runOneShot(std::make_unique<RandomScheduler>(always), topo);
+  auto e2 = runOneShot(std::make_unique<RandomScheduler>(always), view);
   EXPECT_TRUE(e2->instance(0).hasDeliveredTo(3));
 
   RandomScheduler::Options bad;
@@ -124,8 +129,9 @@ TEST(RandomScheduler, UnreliableProbabilityZeroAndOne) {
 
 TEST(AdversarialScheduler, DelaysToTheLastLegalInstant) {
   const auto topo = lineWithSkip();
+  const graph::TopologyView view(topo);
   const auto engine =
-      runOneShot(std::make_unique<AdversarialScheduler>(), topo);
+      runOneShot(std::make_unique<AdversarialScheduler>(), view);
   const Instance& inst = engine->instance(0);
   EXPECT_EQ(inst.termAt, 32);
   // Node 1's delivery was forced by the guard at exactly fprog —
@@ -145,8 +151,9 @@ TEST(AdversarialScheduler, StuffingDeliversUnreliableEdgesEarly) {
   AdversarialScheduler::Options opts;
   opts.stuffUnreliable = true;
   const auto topo = lineWithSkip();
+  const graph::TopologyView view(topo);
   const auto engine =
-      runOneShot(std::make_unique<AdversarialScheduler>(opts), topo);
+      runOneShot(std::make_unique<AdversarialScheduler>(opts), view);
   Time stuffTime = -1;
   for (const auto& rec : engine->trace().records()) {
     if (rec.kind == sim::TraceKind::kRcv && rec.node == 3) stuffTime = rec.t;
@@ -166,7 +173,8 @@ class AlwaysUseless : public ProtocolOracle {
 TEST(AdversarialScheduler, PrefersUselessPick) {
   AdversarialScheduler sched;
   const auto topo = lineWithSkip();
-  MacEngine engine(topo, stdParams(4, 32),
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, stdParams(4, 32),
                    std::make_unique<AdversarialScheduler>(),
                    oneShotFactory(), 1);
   // Drive pickProgressDelivery directly through a second scheduler

@@ -217,7 +217,8 @@ TEST(TraceChecker, DetectsInstanceIdReusedAfterItsTombstoneExpired) {
   t.add({100, TraceKind::kBcast, 0, 0, kNoMsg});
   t.add({104, TraceKind::kRcv, 1, 0, kNoMsg});
   t.add({132, TraceKind::kAck, 0, 0, kNoMsg});
-  const auto res = checkTrace(topo, stdParams(4, 32), t);
+  const auto res =
+      checkTrace(graph::TopologyView(topo), stdParams(4, 32), t);
   ASSERT_FALSE(res.ok);
   ASSERT_EQ(res.records.size(), 3u) << res.summary();
   EXPECT_EQ(res.records[0].axiom, "well-formedness");

@@ -1,13 +1,12 @@
 // The trace pipeline's contracts, bottom to top: the TraceMode label
 // round-trips; the spool sink's fixed-width encoding replays
 // byte-identically to the in-memory vector (tolerating a torn tail,
-// rejecting mid-record corruption); the Trace facade's tee feeds live
-// consumers the exact committed sequence; the streaming oracles are
-// byte-identical to their whole-trace references (tests/support), on
-// clean runs and under every CI mutation campaign; and whole
-// executions — every committed golden case — are bit-identical across
-// trace modes at 1, 4 and 8 parallel workers, honest and mutated
-// alike.
+// rejecting mid-record corruption); the Trace facade feeds live
+// consumers the exact committed sequence, stored or not; the streaming
+// oracles are byte-identical to their whole-trace references
+// (tests/support), on clean runs and under every CI mutation campaign;
+// and whole executions — every committed golden case — are
+// bit-identical across trace modes, honest and mutated alike.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -37,7 +36,6 @@ using check::ExecutionOutcome;
 using check::FuzzCase;
 using check::GoldenCase;
 using check::SchedulerMutation;
-using sim::MemTraceSink;
 using sim::SpoolTraceSink;
 using sim::Trace;
 using sim::TraceKind;
@@ -92,7 +90,7 @@ std::vector<TraceRecord> sampleRecords(std::size_t count) {
   return records;
 }
 
-std::vector<TraceRecord> replayed(const sim::TraceSink& sink) {
+std::vector<TraceRecord> replayed(const SpoolTraceSink& sink) {
   std::vector<TraceRecord> out;
   sink.replay([&](const TraceRecord& r) { out.push_back(r); });
   return out;
@@ -136,16 +134,19 @@ TEST(TracePipelineSpool, ReplayMatchesMemAcrossBufferBoundaries) {
   // Buffer sizes straddling the record count: mid-buffer pending tail,
   // exact flush boundary, and everything-buffered.
   for (const std::size_t bufRecords : {1ul, 4ul, 23ul, 64ul}) {
-    MemTraceSink mem;
+    std::vector<TraceRecord> mem;
     SpoolTraceSink spool(bufRecords);
+    Trace spooled(true, TraceMode::spool(bufRecords));
     for (const TraceRecord& r : records) {
-      mem.append(r);
+      mem.push_back(r);
       spool.append(r);
+      spooled.add(r);
     }
     EXPECT_EQ(spool.size(), mem.size()) << bufRecords;
-    EXPECT_EQ(spool.lastTime(), mem.lastTime()) << bufRecords;
-    EXPECT_EQ(spool.memRecords(), nullptr);
-    expectSameRecords(replayed(spool), replayed(mem));
+    EXPECT_EQ(spool.lastTime(), mem.back().t) << bufRecords;
+    // A spooled store offers replay only, never random access.
+    EXPECT_THROW(spooled.records(), Error);
+    expectSameRecords(replayed(spool), mem);
     // Replay flushes but must not consume: a second replay and further
     // appends still see everything.
     spool.append(records.front());
@@ -245,13 +246,60 @@ TEST(TracePipelineFacade, AttachedConsumersSeeTheCommittedSequence) {
     EXPECT_EQ(hasher.hash(), check::traceHash(trace)) << mode.label();
     EXPECT_EQ(trace.size(), 40u) << mode.label();
   }
-  // A disabled trace ignores consumers and keeps nothing.
+  // A disabled trace stores nothing, but its consumers still see every
+  // committed record: recording decides storage, not observation.
   Trace disabled(false, TraceMode::spool(8));
   check::TraceHasher hasher;
   disabled.attachConsumer(&hasher);
-  disabled.add(TraceRecord{});
+  Trace stored(true, TraceMode::mem());
+  for (const TraceRecord& r : sampleRecords(40)) {
+    disabled.add(r);
+    stored.add(r);
+  }
   EXPECT_EQ(disabled.size(), 0u);
-  EXPECT_EQ(hasher.hash(), check::traceHash(disabled));  // both empty
+  EXPECT_TRUE(disabled.records().empty());
+  EXPECT_NE(check::traceHash(disabled), check::traceHash(stored));
+  EXPECT_EQ(hasher.hash(), check::traceHash(stored));
+}
+
+// An experiment that stores no records still feeds the consumers
+// attached through mutableTrace() the whole run: the hash they compute
+// is the stored trace's hash of the same run, and the oracle verdict
+// streamed live matches the one streamed beside a stored trace.
+TEST(TracePipelineFacade, UnstoredRunFeedsConsumersTheStoredSequence) {
+  Rng rng(21);
+  const auto topo = gen::withArbitraryNoise(gen::grid(5, 5), 3, rng);
+  const core::MmbWorkload workload = core::workloadAllAtNode(3, 0);
+  const core::ProtocolSpec protocol = core::bmmbProtocol();
+  core::RunConfig config;
+  config.mac = testutil::stdParams(4, 32);
+  config.scheduler = core::SchedulerKind::kAdversarial;
+  config.seed = 5;
+
+  config.recordTrace = true;
+  core::Experiment stored(topo, protocol, workload, config);
+  const core::RunResult storedResult = stored.run();
+  ASSERT_TRUE(storedResult.solved);
+  ASSERT_GT(stored.trace().size(), 0u);
+
+  config.recordTrace = false;
+  core::Experiment unstored(topo, protocol, workload, config);
+  check::TraceHasher hasher;
+  check::ExecutionChecker checker(unstored.view(), protocol, config.mac,
+                                  workload);
+  unstored.mutableTrace().attachConsumer(&hasher);
+  unstored.mutableTrace().attachConsumer(&checker);
+  const core::RunResult result = unstored.run();
+  EXPECT_EQ(unstored.trace().size(), 0u);
+  EXPECT_EQ(hasher.hash(), check::traceHash(stored.trace()));
+  EXPECT_EQ(result.endTime, storedResult.endTime);
+  const check::OracleReport report = checker.finish(result);
+  EXPECT_TRUE(report.ok) << report.summary();
+  check::expectSameReport(
+      report,
+      check::checkExecution(stored.view(), protocol, config.mac, workload,
+                            stored.trace(), storedResult),
+      "unstored run");
 }
 
 // --- streaming oracles vs their whole-trace references -----------------------
