@@ -48,31 +48,23 @@ void setTraceMode(SpecDoc& doc, const std::string& label, bool) {
 constexpr std::array<AxisCodec, 5> makeTable() {
   return {{
       // kernel: a one-value tag ("serial"); any other label is an
-      // error.  The only axis whose record key is written even at the
-      // default (it predates elision; changing that would churn every
-      // journal and shard).
-      {"kernel", "kernel", "--kernel", "kernel", "serial",
-       /*resultBearing=*/false, /*recordElided=*/false, /*multi=*/false,
-       getKernel, setKernel, &RunRecord::kernel},
-      {"mac", "mac", "--mac", "mac_realization", "abstract",
-       /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/false,
-       getRealization, setRealization, &RunRecord::realization},
+      // error.
+      {"kernel", "kernel", "--kernel", "serial", /*resultBearing=*/false,
+       /*multi=*/false, getKernel, setKernel},
+      {"mac", "mac", "--mac", "abstract", /*resultBearing=*/true,
+       /*multi=*/false, getRealization, setRealization},
       // reaction: a grid axis, not a scalar — list-valued in specs and
       // CLI, recorded per run as the react_idx coordinate rather than
       // a label.
-      {"reaction", "reactions", "--reaction", nullptr, "none",
-       /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/true,
-       getReactions, setReaction, nullptr},
-      {"backend", "backend", "--backend", "backend", "sim",
-       /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/false,
-       getBackend, setBackend, &RunRecord::backend},
+      {"reaction", "reactions", "--reaction", "none", /*resultBearing=*/true,
+       /*multi=*/true, getReactions, setReaction},
+      {"backend", "backend", "--backend", "sim", /*resultBearing=*/true,
+       /*multi=*/false, getBackend, setBackend},
       // trace: a pure storage knob — the committed record sequence
       // (and every hash/verdict derived from it) is identical across
-      // backends, so the override applies after fingerprinting and the
-      // keys elide at "mem".
-      {"trace", "trace_mode", "--trace-mode", "trace_mode", "mem",
-       /*resultBearing=*/false, /*recordElided=*/true, /*multi=*/false,
-       getTraceMode, setTraceMode, &RunRecord::traceMode},
+      // backends, so the override applies after fingerprinting.
+      {"trace", "trace_mode", "--trace-mode", "mem", /*resultBearing=*/false,
+       /*multi=*/false, getTraceMode, setTraceMode},
   }};
 }
 
@@ -111,36 +103,33 @@ void applyAxisOverride(SpecDoc& doc, const AxisCodec& codec,
   }
 }
 
-void emitSpecAxis(json::Object& root, const SpecDoc& doc,
-                  const AxisCodec& codec) {
+json::Value axisToJson(const SpecDoc& doc, const AxisCodec& codec) {
   const std::vector<std::string> labels = codec.get(doc);
-  if (labels.size() == 1 && labels.front() == codec.defaultLabel) return;
-  if (codec.multi) {
-    json::Array entries;
-    for (const std::string& label : labels) entries.emplace_back(label);
-    root.emplace_back(codec.specKey, std::move(entries));
-    return;
-  }
-  root.emplace_back(codec.specKey, labels.front());
+  if (!codec.multi) return labels.front();
+  return json::Array(labels.begin(), labels.end());
 }
 
-void emitRecordAxes(json::Object& o, const RunRecord& record) {
-  for (const AxisCodec& codec : axisCodecs()) {
-    if (codec.recordField == nullptr) continue;
-    const std::string& label = record.*codec.recordField;
-    if (codec.recordElided && label == codec.defaultLabel) continue;
-    o.emplace_back(codec.recordKey, label);
-  }
+bool axisAtDefault(const SpecDoc& doc, const AxisCodec& codec) {
+  const std::vector<std::string> labels = codec.get(doc);
+  return labels.size() == 1 && labels.front() == codec.defaultLabel;
 }
 
-void parseRecordAxes(RunRecord& record, const json::Value& value,
-                     const std::string& context) {
-  for (const AxisCodec& codec : axisCodecs()) {
-    if (codec.recordField == nullptr) continue;
-    if (const json::Value* v = value.find(codec.recordKey); v != nullptr) {
-      record.*codec.recordField =
-          v->asString(context + "." + codec.recordKey);
+void axisFromJson(SpecDoc& doc, const AxisCodec& codec, const json::Value& v,
+                  const std::string& path) {
+  const auto parse = [&](const json::Value& entry, const std::string& at,
+                         bool first) {
+    const std::string& label = entry.asString(at);
+    try {
+      codec.parseInto(doc, label, first);
+    } catch (const std::exception& e) {
+      throw Error(at + ": " + e.what());
     }
+  };
+  if (!codec.multi) return parse(v, path, true);
+  const json::Array& entries = v.asArray(path);
+  AMMB_REQUIRE(!entries.empty(), path + " must not be an empty array");
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    parse(entries[i], path + "[" + std::to_string(i) + "]", i == 0);
   }
 }
 

@@ -2,36 +2,29 @@
 //
 // Five execution axes share the same tagged-label shape — a value type
 // with a canonical label()/fromLabel() round-trip, a default whose
-// label is elided from canonical serializations, a spec-file key, an
-// `ammb_sweep run` override flag, and (for the per-run ones) a
-// provenance key in run records:
+// label is elided from canonical serializations, a spec-file key, and
+// an `ammb_sweep run` override flag:
 //
-//   axis      spec key      CLI flag      record key         default
-//   kernel    "kernel"      --kernel      "kernel"           "serial"
-//   mac       "mac"         --mac         "mac_realization"  "abstract"
-//   reaction  "reactions"   --reaction    (react_idx coord)  "none"
-//   backend   "backend"     --backend     "backend"          "sim"
-//   trace     "trace_mode"  --trace-mode  "trace_mode"       "mem"
+//   axis      spec key      CLI flag      default
+//   kernel    "kernel"      --kernel      "serial"
+//   mac       "mac"         --mac         "abstract"
+//   reaction  "reactions"   --reaction    "none"
+//   backend   "backend"     --backend     "sim"
+//   trace     "trace_mode"  --trace-mode  "mem"
 //
-// Before this table existed, each of those cells was a hand-rolled
-// copy in spec_io.cpp (parse + canonical writer), sweep_main.cpp
-// (override plumbing and fingerprint ordering), and emit.cpp (record
-// codec).  Adding the backend axis would have been a fifth copy-paste
-// sweep; instead the table is the single place an axis declares its
-// spellings, and the call sites loop.
+// The spec reader and writer, and the CLI's overrides, loop over this
+// table.  The per-run provenance keys of the per-run axes
+// ("mac_realization", "backend", "trace_mode", "kernel") are rows of
+// the run-record table in emit.cpp; the reaction axis is recorded as
+// the react_idx grid coordinate instead.
 //
-// Two classifications matter:
-//   * resultBearing — whether the axis changes results.  Result-bearing
-//     overrides (mac, reaction, backend) are applied to the SpecDoc
-//     BEFORE the spec fingerprint is taken, so an overridden campaign
-//     can never merge/resume against the base spec's shards.  The
-//     trace mode is a pure storage knob and applies after; the kernel
-//     has the single value "serial", so its override either leaves the
-//     document unchanged or fails.
-//   * recordElided — whether the record key is omitted at the default
-//     label.  "kernel" predates elision and is always written; the
-//     newer keys elide so every record file written before they
-//     existed parses and re-serializes byte-identically.
+// resultBearing says whether the axis changes results.  Result-bearing
+// overrides (mac, reaction, backend) are applied to the SpecDoc BEFORE
+// the spec fingerprint is taken, so an overridden campaign can never
+// merge/resume against the base spec's shards.  The trace mode is a
+// pure storage knob and applies after; the kernel has the single value
+// "serial", so its override either leaves the document unchanged or
+// fails.
 #pragma once
 
 #include <array>
@@ -40,7 +33,6 @@
 
 #include "runner/json.h"
 #include "runner/spec_io.h"
-#include "runner/sweep_runner.h"
 
 namespace ammb::runner {
 
@@ -48,10 +40,8 @@ struct AxisCodec {
   const char* axis;          ///< short name ("kernel", "mac", ...)
   const char* specKey;       ///< spec-file JSON key
   const char* cliFlag;       ///< `ammb_sweep run` override flag
-  const char* recordKey;     ///< run-record JSON key (nullptr: none)
   const char* defaultLabel;  ///< canonical default; elided when equal
   bool resultBearing;        ///< override applies before fingerprinting
-  bool recordElided;         ///< record key omitted at the default
   bool multi;                ///< list axis (JSON array / comma CLI)
 
   /// Canonical labels of the axis in `doc` (exactly one for single
@@ -61,12 +51,18 @@ struct AxisCodec {
   /// its first point.  Throws ammb::Error on a malformed label —
   /// callers wrap with the spec/CLI context.
   void (*parseInto)(SpecDoc& doc, const std::string& label, bool first);
-  /// Per-run provenance label, or nullptr for axes recorded as a grid
-  /// coordinate instead (reaction).
-  std::string RunRecord::* recordField;
 };
 
-/// The table, in canonical (spec-key emission and record-key) order.
+/// Table positions, for code that names one axis.
+enum AxisIndex : std::size_t {
+  kKernelAxis,
+  kMacAxis,
+  kReactionAxis,
+  kBackendAxis,
+  kTraceAxis,
+};
+
+/// The table, in AxisIndex order.
 const std::array<AxisCodec, 5>& axisCodecs();
 
 /// Lookup by axis name; throws on unknown names.
@@ -77,17 +73,18 @@ const AxisCodec& axisCodec(const std::string& axis);
 void applyAxisOverride(SpecDoc& doc, const AxisCodec& codec,
                        const std::string& value);
 
-/// Appends the axis's spec key to a canonical-writer object unless it
-/// holds the default — the one elision rule every axis shares, so a
-/// pre-axis spec's canonical bytes (and fingerprint) never change.
-void emitSpecAxis(json::Object& root, const SpecDoc& doc,
-                  const AxisCodec& codec);
+/// The spec-file value of the axis: its label, or the array of its
+/// labels for a multi axis.
+json::Value axisToJson(const SpecDoc& doc, const AxisCodec& codec);
 
-/// Record-codec halves: write the provenance keys of every axis with a
-/// recordField (in table order, honoring recordElided), and read them
-/// back (all optional, defaulting, so pre-axis record files parse).
-void emitRecordAxes(json::Object& o, const RunRecord& record);
-void parseRecordAxes(RunRecord& record, const json::Value& value,
-                     const std::string& context);
+/// Whether the axis holds its default — the one elision rule every
+/// axis shares, so a pre-axis spec's canonical bytes (and fingerprint)
+/// never change.
+bool axisAtDefault(const SpecDoc& doc, const AxisCodec& codec);
+
+/// Parses the spec-file value `v` of the axis into `doc`; errors name
+/// `path` (and the entry index of a multi axis).
+void axisFromJson(SpecDoc& doc, const AxisCodec& codec, const json::Value& v,
+                  const std::string& path);
 
 }  // namespace ammb::runner

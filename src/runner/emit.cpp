@@ -4,11 +4,179 @@
 #include <ostream>
 #include <sstream>
 
-#include "runner/axis_codec.h"
+#include "runner/field_table.h"
 
 namespace ammb::runner {
 
+template <>
+const Spelling<sim::RunStatus>& spelling<sim::RunStatus>() {
+  static const Spelling<sim::RunStatus> s{
+      "run status",
+      spelledBy({sim::RunStatus::kDrained, sim::RunStatus::kStopped,
+                 sim::RunStatus::kTimeLimit, sim::RunStatus::kEventLimit},
+                [](auto status) -> std::string {
+                  return sim::toString(status);
+                })};
+  return s;
+}
+
 namespace {
+
+using core::RunResult;
+
+// --- record codecs ----------------------------------------------------------
+
+/// Per-message latency samples as [msg, arrive_at, complete_at] triples.
+struct MessageTriples {
+  static json::Value encode(const std::vector<core::MessageMetric>& samples) {
+    json::Array items;
+    items.reserve(samples.size());
+    for (const core::MessageMetric& m : samples) {
+      items.push_back(json::Array{m.msg, m.arriveAt, m.completeAt});
+    }
+    return items;
+  }
+  static void decode(std::vector<core::MessageMetric>& out,
+                     const json::Value& v, const std::string& path) {
+    const json::Array& items = v.asArray(path);
+    out.assign(items.size(), {});
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::string at = path + "[" + std::to_string(i) + "]";
+      const json::Array& triple = items[i].asArray(at);
+      AMMB_REQUIRE(triple.size() == 3,
+                   at + " must be a [msg, arrive_at, complete_at] triple");
+      decodeValue(out[i].msg, triple[0], at + "[0]");
+      decodeValue(out[i].arriveAt, triple[1], at + "[1]");
+      decodeValue(out[i].completeAt, triple[2], at + "[2]");
+    }
+  }
+};
+
+/// A 64-bit hash as 16 hex digits.
+struct Hex {
+  static json::Value encode(std::uint64_t v) { return json::hexU64(v); }
+  static void decode(std::uint64_t& out, const json::Value& v,
+                     const std::string& path) {
+    const std::string& text = v.asString(path);
+    AMMB_REQUIRE(!text.empty() && text.size() <= 16,
+                 path + " must be 1-16 hex digits");
+    AMMB_REQUIRE(text.find_first_not_of("0123456789abcdefABCDEF") ==
+                     std::string::npos,
+                 path + " must be hex (got \"" + text + "\")");
+    out = std::stoull(text, nullptr, 16);
+  }
+};
+
+constexpr Field<core::MessageMetrics> kMessageFields[] = {
+    field<&core::MessageMetrics::arrived>("arrived"),
+    field<&core::MessageMetrics::completed>("completed"),
+    field<&core::MessageMetrics::p50Latency>("p50_latency"),
+    field<&core::MessageMetrics::p95Latency>("p95_latency"),
+    field<&core::MessageMetrics::maxLatency>("max_latency"),
+    field<&core::MessageMetrics::meanLatency>("mean_latency"),
+    fieldAs<MessageTriples, &core::MessageMetrics::perMessage>("per_message"),
+};
+
+/// One run record, in serialization order.  Keys added after the format
+/// began (react_idx, the realization/backend/trace provenance, realized,
+/// retransmits) are omitted at their defaults and optional on read, so
+/// every record file written before each existed parses and
+/// re-serializes byte-identically.  "kernel" predates elision and is
+/// always written, and optional on read.
+constexpr Field<RunRecord> kRecordFields[] = {
+    field<&RunRecord::point, &RunPoint::runIndex>("run_index"),
+    field<&RunRecord::point, &RunPoint::cellIndex>("cell_index"),
+    field<&RunRecord::point, &RunPoint::topoIdx>("topo_idx"),
+    field<&RunRecord::point, &RunPoint::schedIdx>("sched_idx"),
+    field<&RunRecord::point, &RunPoint::kIdx>("k_idx"),
+    field<&RunRecord::point, &RunPoint::macIdx>("mac_idx"),
+    field<&RunRecord::point, &RunPoint::wlIdx>("wl_idx"),
+    field<&RunRecord::point, &RunPoint::dynIdx>("dyn_idx"),
+    field<&RunRecord::point, &RunPoint::reactIdx>("react_idx", kOmitDefault),
+    field<&RunRecord::point, &RunPoint::seed>("seed"),
+    field<&RunRecord::kernel>("kernel").opt(),
+    field<&RunRecord::realization>("mac_realization", kOmitDefault),
+    field<&RunRecord::backend>("backend", kOmitDefault),
+    field<&RunRecord::traceMode>("trace_mode", kOmitDefault),
+    fieldAs<Nested<kRealizedFields>, &RunRecord::realized>(
+        "realized", [](const RunRecord& r) { return !r.realized.measured(); }),
+    field<&RunRecord::error>("error"),
+    field<&RunRecord::result, &RunResult::solved>("solved"),
+    field<&RunRecord::result, &RunResult::solveTime>("solve_time"),
+    field<&RunRecord::result, &RunResult::endTime>("end_time"),
+    field<&RunRecord::result, &RunResult::status>("status"),
+    field<&RunRecord::result, &RunResult::retransmits>("retransmits",
+                                                       kOmitDefault),
+    fieldAs<Nested<kStatFields>, &RunRecord::result, &RunResult::stats>(
+        "stats"),
+    fieldAs<Nested<kMessageFields>, &RunRecord::result, &RunResult::messages>(
+        "messages"),
+    field<&RunRecord::checked>("checked"),
+    fieldAs<Hex, &RunRecord::traceHash>("trace_hash"),
+    field<&RunRecord::checkViolations>("check_violations"),
+    field<&RunRecord::canonicalTrace>("canonical_trace"),
+};
+
+/// Shard document and journal headers, after the sweep name.
+constexpr Field<RunDocHeader> kHeaderFields[] = {
+    field<&RunDocHeader::specFingerprint>("spec_fingerprint"),
+    field<&RunDocHeader::shard, &Shard::index>("shard_index"),
+    field<&RunDocHeader::shard, &Shard::count>("shard_count"),
+    field<&RunDocHeader::runCount>("run_count"),
+};
+
+// --- result documents -------------------------------------------------------
+
+/// The result document's header.  Realization and backend are written
+/// only for realized and net-backend sweeps, so every abstract/sim
+/// baseline stays byte-identical.
+constexpr Field<SweepResult> kResultFields[] = {
+    field<&SweepResult::name>("sweep"),
+    field<&SweepResult::protocol>("protocol"),
+    field<&SweepResult::realization>("realization", kOmitDefault),
+    field<&SweepResult::backend>("backend", kOmitDefault),
+    field<&SweepResult::seedBegin>("seed_begin"),
+    field<&SweepResult::seedEnd>("seed_end"),
+};
+
+bool reactionFree(const CellAggregate& c) {
+  return c.reaction.empty() || c.reaction == "none";
+}
+bool unmeasured(const CellAggregate& c) { return c.measuredRuns == 0; }
+
+/// One cell of the result document.  The reaction (and its work
+/// counter) is written only for reactive cells, and the realized bounds
+/// only for measured ones, so pre-existing baselines stay byte-identical.
+constexpr Field<CellAggregate> kCellFields[] = {
+    field<&CellAggregate::topology>("topology"),
+    field<&CellAggregate::scheduler>("scheduler"),
+    field<&CellAggregate::k>("k"),
+    field<&CellAggregate::mac>("mac"),
+    field<&CellAggregate::workload>("workload"),
+    field<&CellAggregate::dynamics>("dynamics"),
+    field<&CellAggregate::reaction>("reaction", reactionFree),
+    field<&CellAggregate::retransmits>("retransmits", reactionFree),
+    field<&CellAggregate::runs>("runs"),
+    field<&CellAggregate::solved>("solved"),
+    field<&CellAggregate::errors>("errors"),
+    field<&CellAggregate::minSolve>("min_solve"),
+    field<&CellAggregate::medianSolve>("median_solve"),
+    field<&CellAggregate::meanSolve>("mean_solve"),
+    field<&CellAggregate::p95Solve>("p95_solve"),
+    field<&CellAggregate::maxSolve>("max_solve"),
+    field<&CellAggregate::meanEndTime>("mean_end_time"),
+    field<&CellAggregate::messages>("messages"),
+    field<&CellAggregate::meanLatency>("mean_latency"),
+    field<&CellAggregate::p50Latency>("p50_latency"),
+    field<&CellAggregate::p95Latency>("p95_latency"),
+    field<&CellAggregate::maxLatency>("max_latency"),
+    field<&CellAggregate::checkedRuns>("checked_runs"),
+    field<&CellAggregate::checkViolations>("check_violations"),
+    field<&CellAggregate::measuredRuns>("measured_runs", unmeasured),
+    fieldAs<Nested<kRealizedFields>, &CellAggregate::realized>("realized",
+                                                               unmeasured),
+    fieldAs<Nested<kStatFields>, &CellAggregate::stats>("stats"),
+};
 
 /// Fixed-precision decimal for CSV/JSON doubles; identical input bits
 /// give identical text, keeping emitted files diffable.
@@ -29,168 +197,225 @@ std::string csvEscape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
-sim::RunStatus runStatusFromString(const std::string& name) {
-  for (sim::RunStatus status :
-       {sim::RunStatus::kDrained, sim::RunStatus::kStopped,
-        sim::RunStatus::kTimeLimit, sim::RunStatus::kEventLimit}) {
-    if (name == sim::toString(status)) return status;
+/// `v` as one CSV cell (null: an empty cell; booleans: 1/0), or as a
+/// one-line JSON value with ", " and ": " separators.  Doubles print
+/// fixed-point in both.
+void writeText(const json::Value& v, std::ostream& out, bool csv) {
+  if (v.isNull()) return;
+  if (v.isBool()) {
+    out << (v.asBool() ? 1 : 0);
+  } else if (v.isInt()) {
+    out << v.asInt();
+  } else if (v.isDouble()) {
+    out << fixed(v.asDouble());
+  } else if (v.isString()) {
+    if (csv) out << csvEscape(v.asString());
+    else out << '"' << json::escape(v.asString()) << '"';
+  } else {
+    out << '{';
+    const char* sep = "";
+    for (const json::Member& m : v.asObject()) {
+      out << sep << '"' << m.first << "\": ";
+      writeText(m.second, out, csv);
+      sep = ", ";
+    }
+    out << '}';
   }
-  throw Error("unknown run status \"" + name + "\"");
 }
 
-namespace {
-
-/// Realized-bound CSV cells: nine comma-prefixed fields, empty when the
-/// bounds were never measured so abstract rows don't print zeros that
-/// look like data.
-void emitRealizedCsv(std::uint64_t measuredRuns,
-                     const phys::RealizedBounds& r, std::ostream& out) {
-  if (measuredRuns == 0 && !r.measured()) {
-    out << ",,,,,,,,,";
-    return;
+/// Pretty-printed document members, one `  "key": value,` line each.
+void writeMembers(const json::Object& members, std::ostream& out) {
+  for (const json::Member& m : members) {
+    out << "  \"" << json::escape(m.first) << "\": ";
+    json::dump(m.second, out);
+    out << ",\n";
   }
-  out << ',' << measuredRuns << ',' << r.fprogP50 << ',' << r.fprogP95 << ','
-      << r.fprogMax << ',' << r.fackP50 << ',' << r.fackP95 << ','
-      << r.fackMax << ',' << r.fittedFprog << ',' << r.fittedFack;
+}
+
+// --- CSV tables -------------------------------------------------------------
+// Each CSV is its own column table: the columns keep their historic
+// order (the cells CSV leads with the workload), the runs CSV writes the
+// solve time only for solved runs and the trace hash in decimal and only
+// for checked runs, and both flatten the counter and bound blocks.
+
+/// What one CSV line describes: a cell, or (runs CSV) one of its runs.
+struct CsvRow {
+  const SweepResult& result;
+  const CellAggregate& cell;
+  const RunRecord* run;
+};
+
+/// A CSV column.  A block column expands to a table's columns instead:
+/// kStats to the engine counters; kRealized to the run count it heads
+/// (header, value) and then the bound statistics, all empty when nothing
+/// was measured so abstract rows don't print zeros that look like data.
+struct Column {
+  enum Block : std::uint8_t { kOne, kStats, kRealized };
+  const char* header;
+  json::Value (*value)(const CsvRow&);
+  Block block = kOne;
+};
+
+template <auto... Path>
+json::Value ofResult(const CsvRow& row) {
+  return encodeValue(At<Path...>::in(row.result));
+}
+template <auto... Path>
+json::Value ofCell(const CsvRow& row) {
+  return encodeValue(At<Path...>::in(row.cell));
+}
+template <auto... Path>
+json::Value ofRun(const CsvRow& row) {
+  return encodeValue(At<Path...>::in(*row.run));
+}
+
+using Cell = CellAggregate;
+using Messages = core::MessageMetrics;
+
+constexpr Column kCellsCsv[] = {
+    {"sweep", ofResult<&SweepResult::name>},
+    {"protocol", ofResult<&SweepResult::protocol>},
+    {"workload", ofCell<&Cell::workload>},
+    {"topology", ofCell<&Cell::topology>},
+    {"scheduler", ofCell<&Cell::scheduler>},
+    {"k", ofCell<&Cell::k>},
+    {"mac", ofCell<&Cell::mac>},
+    {"dynamics", ofCell<&Cell::dynamics>},
+    {"reaction", ofCell<&Cell::reaction>},
+    {"seed_begin", ofResult<&SweepResult::seedBegin>},
+    {"seed_end", ofResult<&SweepResult::seedEnd>},
+    {"runs", ofCell<&Cell::runs>},
+    {"solved", ofCell<&Cell::solved>},
+    {"errors", ofCell<&Cell::errors>},
+    {"min_solve", ofCell<&Cell::minSolve>},
+    {"median_solve", ofCell<&Cell::medianSolve>},
+    {"mean_solve", ofCell<&Cell::meanSolve>},
+    {"p95_solve", ofCell<&Cell::p95Solve>},
+    {"max_solve", ofCell<&Cell::maxSolve>},
+    {"mean_end_time", ofCell<&Cell::meanEndTime>},
+    {"messages", ofCell<&Cell::messages>},
+    {"mean_latency", ofCell<&Cell::meanLatency>},
+    {"p50_latency", ofCell<&Cell::p50Latency>},
+    {"p95_latency", ofCell<&Cell::p95Latency>},
+    {"max_latency", ofCell<&Cell::maxLatency>},
+    {nullptr, nullptr, Column::kStats},
+    {"retransmits", ofCell<&Cell::retransmits>},
+    {"checked_runs", ofCell<&Cell::checkedRuns>},
+    {"check_violations", ofCell<&Cell::checkViolations>},
+    {"realization", ofResult<&SweepResult::realization>},
+    {"measured_runs", ofCell<&Cell::measuredRuns>, Column::kRealized},
+    {"backend", ofResult<&SweepResult::backend>},
+};
+
+constexpr Column kRunsCsv[] = {
+    {"run_index", ofRun<&RunRecord::point, &RunPoint::runIndex>},
+    {"cell_index", ofRun<&RunRecord::point, &RunPoint::cellIndex>},
+    {"topology", ofCell<&Cell::topology>},
+    {"scheduler", ofCell<&Cell::scheduler>},
+    {"k", ofCell<&Cell::k>},
+    {"mac", ofCell<&Cell::mac>},
+    {"workload", ofCell<&Cell::workload>},
+    {"dynamics", ofCell<&Cell::dynamics>},
+    {"reaction", ofCell<&Cell::reaction>},
+    {"seed", ofRun<&RunRecord::point, &RunPoint::seed>},
+    {"solved", ofRun<&RunRecord::result, &RunResult::solved>},
+    {"solve_time",
+     [](const CsvRow& row) {
+       return row.run->result.solved ? json::Value(row.run->result.solveTime)
+                                     : json::Value();
+     }},
+    {"end_time", ofRun<&RunRecord::result, &RunResult::endTime>},
+    {"status", ofRun<&RunRecord::result, &RunResult::status>},
+    {"messages",
+     ofRun<&RunRecord::result, &RunResult::messages, &Messages::completed>},
+    {"p50_latency",
+     ofRun<&RunRecord::result, &RunResult::messages, &Messages::p50Latency>},
+    {"p95_latency",
+     ofRun<&RunRecord::result, &RunResult::messages, &Messages::p95Latency>},
+    {"max_latency",
+     ofRun<&RunRecord::result, &RunResult::messages, &Messages::maxLatency>},
+    {"retransmits", ofRun<&RunRecord::result, &RunResult::retransmits>},
+    {"error", ofRun<&RunRecord::error>},
+    {"checked", ofRun<&RunRecord::checked>},
+    {"check_violations",
+     [](const CsvRow& row) {
+       return json::Value(row.run->checkViolations.size());
+     }},
+    {"trace_hash",
+     [](const CsvRow& row) {
+       return row.run->checked ? json::Value(std::to_string(row.run->traceHash))
+                               : json::Value();
+     }},
+    {"realization", ofRun<&RunRecord::realization>},
+    {"measured_samples",
+     ofRun<&RunRecord::realized, &phys::RealizedBounds::ackSamples>,
+     Column::kRealized},
+    {"backend", ofRun<&RunRecord::backend>},
+};
+
+/// Writes the header line (row == nullptr) or one row of `columns`.
+template <std::size_t N>
+void writeCsvLine(const Column (&columns)[N], const CsvRow* row,
+                  std::ostream& out) {
+  const char* sep = "";
+  const auto put = [&](const char* header, const auto& value) {
+    out << sep;
+    sep = ",";
+    if (row == nullptr) out << header;
+    else writeText(value(), out, true);
+  };
+  for (const Column& col : columns) {
+    if (col.block == Column::kStats) {
+      for (const auto& f : kStatFields) {
+        put(f.key, [&] { return f.get(row->cell.stats); });
+      }
+      continue;
+    }
+    if (col.block == Column::kOne) {
+      put(col.header, [&] { return col.value(*row); });
+      continue;
+    }
+    const phys::RealizedBounds* bounds =
+        row == nullptr ? nullptr
+                       : row->run != nullptr ? &row->run->realized
+                                             : &row->cell.realized;
+    const bool shown = bounds != nullptr && bounds->measured();
+    put(col.header,
+        [&] { return shown ? col.value(*row) : json::Value(); });
+    for (const auto& f : kRealizedFields) {
+      if (f.csvName == nullptr) continue;
+      put(f.csvName, [&] { return shown ? f.get(*bounds) : json::Value(); });
+    }
+  }
+  out << '\n';
 }
 
 }  // namespace
 
 void emitCellsCsv(const SweepResult& result, std::ostream& out) {
-  out << "sweep,protocol,workload,topology,scheduler,k,mac,dynamics,"
-         "reaction,seed_begin,"
-         "seed_end,runs,solved,errors,min_solve,median_solve,mean_solve,"
-         "p95_solve,max_solve,mean_end_time,messages,mean_latency,"
-         "p50_latency,p95_latency,max_latency,bcasts,rcvs,forced_rcvs,acks,"
-         "aborts,delivers,arrives,retransmits,checked_runs,check_violations,"
-         "realization,measured_runs,realized_fprog_p50,realized_fprog_p95,"
-         "realized_fprog_max,realized_fack_p50,realized_fack_p95,"
-         "realized_fack_max,fitted_fprog,fitted_fack,backend\n";
-  for (const CellAggregate& c : result.cells) {
-    out << csvEscape(result.name) << ',' << core::toString(result.protocol)
-        << ',' << csvEscape(c.workload) << ',' << csvEscape(c.topology)
-        << ',' << csvEscape(c.scheduler) << ',' << c.k << ','
-        << csvEscape(c.mac) << ',' << csvEscape(c.dynamics) << ','
-        << csvEscape(c.reaction) << ',' << result.seedBegin << ','
-        << result.seedEnd << ',' << c.runs << ',' << c.solved << ','
-        << c.errors << ',' << c.minSolve << ',' << c.medianSolve << ','
-        << fixed(c.meanSolve) << ',' << c.p95Solve << ',' << c.maxSolve
-        << ',' << fixed(c.meanEndTime) << ',' << c.messages << ','
-        << fixed(c.meanLatency) << ',' << c.p50Latency << ','
-        << c.p95Latency << ',' << c.maxLatency << ',' << c.stats.bcasts
-        << ',' << c.stats.rcvs << ',' << c.stats.forcedRcvs << ','
-        << c.stats.acks << ',' << c.stats.aborts << ',' << c.stats.delivers
-        << ',' << c.stats.arrives << ',' << c.retransmits << ','
-        << c.checkedRuns << ','
-        << c.checkViolations << ',' << csvEscape(result.realization);
-    emitRealizedCsv(c.measuredRuns, c.realized, out);
-    out << ',' << csvEscape(result.backend) << '\n';
+  writeCsvLine(kCellsCsv, nullptr, out);
+  for (const CellAggregate& cell : result.cells) {
+    const CsvRow row{result, cell, nullptr};
+    writeCsvLine(kCellsCsv, &row, out);
   }
 }
 
 void emitRunsCsv(const SweepResult& result, std::ostream& out) {
-  out << "run_index,cell_index,topology,scheduler,k,mac,workload,dynamics,"
-         "reaction,seed,solved,"
-         "solve_time,end_time,status,messages,p50_latency,p95_latency,"
-         "max_latency,retransmits,error,checked,check_violations,trace_hash,"
-         "realization,measured_samples,realized_fprog_p50,realized_fprog_p95,"
-         "realized_fprog_max,realized_fack_p50,realized_fack_p95,"
-         "realized_fack_max,fitted_fprog,fitted_fack,backend\n";
-  for (const RunRecord& r : result.runs) {
-    const CellAggregate& c = result.cell(r.point.cellIndex);
-    out << r.point.runIndex << ',' << r.point.cellIndex << ','
-        << csvEscape(c.topology) << ',' << csvEscape(c.scheduler) << ','
-        << c.k << ',' << csvEscape(c.mac) << ',' << csvEscape(c.workload)
-        << ',' << csvEscape(c.dynamics) << ',' << csvEscape(c.reaction)
-        << ',' << r.point.seed << ','
-        << (r.result.solved ? 1 : 0) << ',';
-    // kTimeNever would print as a 19-digit integer; unsolved runs emit
-    // an empty solve-time field instead.
-    if (r.result.solved) out << r.result.solveTime;
-    out << ',' << r.result.endTime << ',' << sim::toString(r.result.status)
-        << ',' << r.result.messages.completed << ','
-        << r.result.messages.p50Latency << ','
-        << r.result.messages.p95Latency << ','
-        << r.result.messages.maxLatency << ','
-        << r.result.retransmits << ',' << csvEscape(r.error) << ','
-        << (r.checked ? 1 : 0) << ',' << r.checkViolations.size() << ',';
-    // The hash only means something for checked runs; keep unchecked
-    // rows' columns empty so diffs don't churn on mode changes.
-    if (r.checked) out << r.traceHash;
-    out << ',' << csvEscape(r.realization);
-    emitRealizedCsv(r.realized.measured() ? r.realized.ackSamples : 0,
-                    r.realized, out);
-    out << ',' << csvEscape(r.backend) << '\n';
+  writeCsvLine(kRunsCsv, nullptr, out);
+  for (const RunRecord& run : result.runs) {
+    const CsvRow row{result, result.cell(run.point.cellIndex), &run};
+    writeCsvLine(kRunsCsv, &row, out);
   }
 }
 
 void emitJson(const SweepResult& result, std::ostream& out) {
-  out << "{\n"
-      << "  \"sweep\": \"" << json::escape(result.name) << "\",\n"
-      << "  \"protocol\": \"" << core::toString(result.protocol) << "\",\n";
-  // Emitted only for realized sweeps so every pre-existing abstract
-  // baseline stays byte-identical.
-  if (result.realization != "abstract") {
-    out << "  \"realization\": \"" << json::escape(result.realization)
-        << "\",\n";
-  }
-  // Likewise only for net-backend sweeps.
-  if (result.backend != "sim") {
-    out << "  \"backend\": \"" << json::escape(result.backend) << "\",\n";
-  }
-  out << "  \"seed_begin\": " << result.seedBegin << ",\n"
-      << "  \"seed_end\": " << result.seedEnd << ",\n"
-      << "  \"cells\": [\n";
+  out << "{\n";
+  writeMembers(encodeFields(kResultFields, result), out);
+  out << "  \"cells\": [\n";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const CellAggregate& c = result.cells[i];
-    out << "    {\"topology\": \"" << json::escape(c.topology)
-        << "\", \"scheduler\": \"" << json::escape(c.scheduler)
-        << "\", \"k\": " << c.k << ", \"mac\": \"" << json::escape(c.mac)
-        << "\", \"workload\": \"" << json::escape(c.workload)
-        << "\", \"dynamics\": \"" << json::escape(c.dynamics) << "\"";
-    // The reaction axis (and its work counter) is emitted only for
-    // reactive cells so every pre-existing reaction-free baseline
-    // stays byte-identical.
-    if (!c.reaction.empty() && c.reaction != "none") {
-      out << ", \"reaction\": \"" << json::escape(c.reaction)
-          << "\", \"retransmits\": " << c.retransmits;
-    }
-    out << ", \"runs\": " << c.runs << ", \"solved\": " << c.solved
-        << ", \"errors\": " << c.errors << ", \"min_solve\": " << c.minSolve
-        << ", \"median_solve\": " << c.medianSolve
-        << ", \"mean_solve\": " << fixed(c.meanSolve)
-        << ", \"p95_solve\": " << c.p95Solve
-        << ", \"max_solve\": " << c.maxSolve
-        << ", \"mean_end_time\": " << fixed(c.meanEndTime)
-        << ", \"messages\": " << c.messages
-        << ", \"mean_latency\": " << fixed(c.meanLatency)
-        << ", \"p50_latency\": " << c.p50Latency
-        << ", \"p95_latency\": " << c.p95Latency
-        << ", \"max_latency\": " << c.maxLatency
-        << ", \"checked_runs\": " << c.checkedRuns
-        << ", \"check_violations\": " << c.checkViolations;
-    if (c.measuredRuns > 0) {
-      out << ", \"measured_runs\": " << c.measuredRuns
-          << ", \"realized\": {\"fprog_p50\": " << c.realized.fprogP50
-          << ", \"fprog_p95\": " << c.realized.fprogP95
-          << ", \"fprog_max\": " << c.realized.fprogMax
-          << ", \"fack_p50\": " << c.realized.fackP50
-          << ", \"fack_p95\": " << c.realized.fackP95
-          << ", \"fack_max\": " << c.realized.fackMax
-          << ", \"fitted_fprog\": " << c.realized.fittedFprog
-          << ", \"fitted_fack\": " << c.realized.fittedFack
-          << ", \"ack_samples\": " << c.realized.ackSamples
-          << ", \"prog_samples\": " << c.realized.progSamples << "}";
-    }
-    out << ", \"stats\": {\"bcasts\": " << c.stats.bcasts
-        << ", \"rcvs\": " << c.stats.rcvs
-        << ", \"forced_rcvs\": " << c.stats.forcedRcvs
-        << ", \"acks\": " << c.stats.acks << ", \"aborts\": " << c.stats.aborts
-        << ", \"delivers\": " << c.stats.delivers
-        << ", \"arrives\": " << c.stats.arrives << "}}"
-        << (i + 1 < result.cells.size() ? ",\n" : "\n");
+    out << "    ";
+    writeText(encodeFields(kCellFields, result.cells[i]), out, false);
+    out << (i + 1 < result.cells.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
 }
@@ -215,275 +440,44 @@ std::string toJson(const SweepResult& result) {
 
 // --- mergeable per-run records ----------------------------------------------
 
-namespace {
-
-using json::Array;
-using json::Object;
-using json::Value;
-
-std::string hexU64(std::uint64_t v) {
-  char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buffer;
-}
-
-std::uint64_t parseHexU64(const std::string& text,
-                          const std::string& context) {
-  AMMB_REQUIRE(!text.empty() && text.size() <= 16,
-               context + " must be 1-16 hex digits");
-  std::uint64_t v = 0;
-  for (char c : text) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint64_t>(c - 'A' + 10);
-    else throw Error(context + " must be hex (got \"" + text + "\")");
-  }
-  return v;
-}
-
-const Value& member(const Value& object, const std::string& key,
-                    const std::string& context) {
-  if (!object.isObject()) {
-    throw Error(context + " must be a JSON object");
-  }
-  const Value* v = object.find(key);
-  if (v == nullptr) {
-    throw Error(context + " is missing field \"" + key + "\"");
-  }
-  return *v;
-}
-
-std::size_t memberSize(const Value& object, const std::string& key,
-                       const std::string& context) {
-  const std::int64_t v = member(object, key, context).asInt(context + "." + key);
-  AMMB_REQUIRE(v >= 0, context + "." + key + " must be non-negative");
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
 json::Value recordToJson(const RunRecord& record) {
-  Object o;
-  o.emplace_back("run_index", record.point.runIndex);
-  o.emplace_back("cell_index", record.point.cellIndex);
-  o.emplace_back("topo_idx", record.point.topoIdx);
-  o.emplace_back("sched_idx", record.point.schedIdx);
-  o.emplace_back("k_idx", record.point.kIdx);
-  o.emplace_back("mac_idx", record.point.macIdx);
-  o.emplace_back("wl_idx", record.point.wlIdx);
-  o.emplace_back("dyn_idx", record.point.dynIdx);
-  // The reaction coordinate is emitted only off the axis default, so
-  // record files written before the axis existed keep their exact
-  // bytes (as do all reaction-free shards and journals).
-  if (record.point.reactIdx != 0) {
-    o.emplace_back("react_idx", record.point.reactIdx);
-  }
-  o.emplace_back("seed", static_cast<std::int64_t>(record.point.seed));
-  // Execution-axis provenance (kernel, mac_realization, backend) via
-  // the shared codec table; result-bearing axes are elided at their
-  // defaults so record files written before each field existed — and
-  // every abstract/sim shard or journal — keep their exact bytes.
-  emitRecordAxes(o, record);
-  if (record.realized.measured()) {
-    Object realized;
-    realized.emplace_back("fprog_p50", record.realized.fprogP50);
-    realized.emplace_back("fprog_p95", record.realized.fprogP95);
-    realized.emplace_back("fprog_max", record.realized.fprogMax);
-    realized.emplace_back("fack_p50", record.realized.fackP50);
-    realized.emplace_back("fack_p95", record.realized.fackP95);
-    realized.emplace_back("fack_max", record.realized.fackMax);
-    realized.emplace_back("fitted_fprog", record.realized.fittedFprog);
-    realized.emplace_back("fitted_fack", record.realized.fittedFack);
-    realized.emplace_back("ack_samples",
-                          static_cast<std::int64_t>(record.realized.ackSamples));
-    realized.emplace_back(
-        "prog_samples", static_cast<std::int64_t>(record.realized.progSamples));
-    o.emplace_back("realized", std::move(realized));
-  }
-  o.emplace_back("error", record.error);
-  o.emplace_back("solved", record.result.solved);
-  o.emplace_back("solve_time", record.result.solveTime);
-  o.emplace_back("end_time", record.result.endTime);
-  o.emplace_back("status", sim::toString(record.result.status));
-  // Churn-reaction work counter, elided when zero (the universal case
-  // for reaction-free runs) for the same byte-compatibility reason as
-  // react_idx above.
-  if (record.result.retransmits != 0) {
-    o.emplace_back("retransmits",
-                   static_cast<std::int64_t>(record.result.retransmits));
-  }
-
-  Object stats;
-  stats.emplace_back("bcasts", static_cast<std::int64_t>(record.result.stats.bcasts));
-  stats.emplace_back("rcvs", static_cast<std::int64_t>(record.result.stats.rcvs));
-  stats.emplace_back("forced_rcvs",
-                     static_cast<std::int64_t>(record.result.stats.forcedRcvs));
-  stats.emplace_back("acks", static_cast<std::int64_t>(record.result.stats.acks));
-  stats.emplace_back("aborts",
-                     static_cast<std::int64_t>(record.result.stats.aborts));
-  stats.emplace_back("delivers",
-                     static_cast<std::int64_t>(record.result.stats.delivers));
-  stats.emplace_back("arrives",
-                     static_cast<std::int64_t>(record.result.stats.arrives));
-  o.emplace_back("stats", std::move(stats));
-
-  const core::MessageMetrics& mm = record.result.messages;
-  Object messages;
-  messages.emplace_back("arrived", static_cast<std::int64_t>(mm.arrived));
-  messages.emplace_back("completed", static_cast<std::int64_t>(mm.completed));
-  messages.emplace_back("p50_latency", mm.p50Latency);
-  messages.emplace_back("p95_latency", mm.p95Latency);
-  messages.emplace_back("max_latency", mm.maxLatency);
-  messages.emplace_back("mean_latency", mm.meanLatency);
-  Array perMessage;
-  for (const core::MessageMetric& pm : mm.perMessage) {
-    Array entry;
-    entry.emplace_back(static_cast<std::int64_t>(pm.msg));
-    entry.emplace_back(pm.arriveAt);
-    entry.emplace_back(pm.completeAt);
-    perMessage.emplace_back(std::move(entry));
-  }
-  messages.emplace_back("per_message", std::move(perMessage));
-  o.emplace_back("messages", std::move(messages));
-
-  o.emplace_back("checked", record.checked);
-  o.emplace_back("trace_hash", hexU64(record.traceHash));
-  Array violations;
-  for (const std::string& v : record.checkViolations) {
-    violations.emplace_back(v);
-  }
-  o.emplace_back("check_violations", std::move(violations));
-  o.emplace_back("canonical_trace", record.canonicalTrace);
-  return Value(std::move(o));
+  return encodeFields(kRecordFields, record);
 }
 
 RunRecord recordFromJson(const json::Value& value,
                          const std::string& context) {
   RunRecord record;
-  record.point.runIndex = memberSize(value, "run_index", context);
-  record.point.cellIndex = memberSize(value, "cell_index", context);
-  record.point.topoIdx = memberSize(value, "topo_idx", context);
-  record.point.schedIdx = memberSize(value, "sched_idx", context);
-  record.point.kIdx = memberSize(value, "k_idx", context);
-  record.point.macIdx = memberSize(value, "mac_idx", context);
-  record.point.wlIdx = memberSize(value, "wl_idx", context);
-  record.point.dynIdx = memberSize(value, "dyn_idx", context);
-  // Optional: records from before the reaction axis existed (and all
-  // reaction-free records) omit the coordinate; it defaults to 0.
-  if (value.find("react_idx") != nullptr) {
-    record.point.reactIdx = memberSize(value, "react_idx", context);
-  }
-  record.point.seed = static_cast<std::uint64_t>(
-      member(value, "seed", context).asInt(context + ".seed"));
-  // Every execution-axis key is optional for compatibility with record
-  // files written before that axis existed; absent keys keep the
-  // RunRecord defaults ("serial" / "abstract" / "sim").
-  parseRecordAxes(record, value, context);
-  if (const Value* realized = value.find("realized"); realized != nullptr) {
-    const std::string rc = context + ".realized";
-    phys::RealizedBounds& r = record.realized;
-    r.fprogP50 = member(*realized, "fprog_p50", rc).asInt(rc + ".fprog_p50");
-    r.fprogP95 = member(*realized, "fprog_p95", rc).asInt(rc + ".fprog_p95");
-    r.fprogMax = member(*realized, "fprog_max", rc).asInt(rc + ".fprog_max");
-    r.fackP50 = member(*realized, "fack_p50", rc).asInt(rc + ".fack_p50");
-    r.fackP95 = member(*realized, "fack_p95", rc).asInt(rc + ".fack_p95");
-    r.fackMax = member(*realized, "fack_max", rc).asInt(rc + ".fack_max");
-    r.fittedFprog = member(*realized, "fitted_fprog", rc).asInt(rc + ".fitted_fprog");
-    r.fittedFack = member(*realized, "fitted_fack", rc).asInt(rc + ".fitted_fack");
-    r.ackSamples = static_cast<std::uint64_t>(
-        member(*realized, "ack_samples", rc).asInt(rc + ".ack_samples"));
-    r.progSamples = static_cast<std::uint64_t>(
-        member(*realized, "prog_samples", rc).asInt(rc + ".prog_samples"));
-  }
-  record.error = member(value, "error", context).asString(context + ".error");
-  record.result.solved =
-      member(value, "solved", context).asBool(context + ".solved");
-  record.result.solveTime =
-      member(value, "solve_time", context).asInt(context + ".solve_time");
-  record.result.endTime =
-      member(value, "end_time", context).asInt(context + ".end_time");
-  record.result.status = runStatusFromString(
-      member(value, "status", context).asString(context + ".status"));
-  if (const Value* retransmits = value.find("retransmits");
-      retransmits != nullptr) {
-    record.result.retransmits = static_cast<std::uint64_t>(
-        retransmits->asInt(context + ".retransmits"));
-  }
-
-  const Value& stats = member(value, "stats", context);
-  const std::string statsContext = context + ".stats";
-  record.result.stats.bcasts = static_cast<std::uint64_t>(
-      member(stats, "bcasts", statsContext).asInt(statsContext + ".bcasts"));
-  record.result.stats.rcvs = static_cast<std::uint64_t>(
-      member(stats, "rcvs", statsContext).asInt(statsContext + ".rcvs"));
-  record.result.stats.forcedRcvs = static_cast<std::uint64_t>(
-      member(stats, "forced_rcvs", statsContext).asInt(statsContext + ".forced_rcvs"));
-  record.result.stats.acks = static_cast<std::uint64_t>(
-      member(stats, "acks", statsContext).asInt(statsContext + ".acks"));
-  record.result.stats.aborts = static_cast<std::uint64_t>(
-      member(stats, "aborts", statsContext).asInt(statsContext + ".aborts"));
-  record.result.stats.delivers = static_cast<std::uint64_t>(
-      member(stats, "delivers", statsContext).asInt(statsContext + ".delivers"));
-  record.result.stats.arrives = static_cast<std::uint64_t>(
-      member(stats, "arrives", statsContext).asInt(statsContext + ".arrives"));
-
-  const Value& messages = member(value, "messages", context);
-  const std::string mmContext = context + ".messages";
-  core::MessageMetrics& mm = record.result.messages;
-  mm.arrived = static_cast<std::uint64_t>(
-      member(messages, "arrived", mmContext).asInt(mmContext + ".arrived"));
-  mm.completed = static_cast<std::uint64_t>(
-      member(messages, "completed", mmContext).asInt(mmContext + ".completed"));
-  mm.p50Latency =
-      member(messages, "p50_latency", mmContext).asInt(mmContext + ".p50_latency");
-  mm.p95Latency =
-      member(messages, "p95_latency", mmContext).asInt(mmContext + ".p95_latency");
-  mm.maxLatency =
-      member(messages, "max_latency", mmContext).asInt(mmContext + ".max_latency");
-  mm.meanLatency =
-      member(messages, "mean_latency", mmContext).asDouble(mmContext + ".mean_latency");
-  for (const Value& entry :
-       member(messages, "per_message", mmContext).asArray(mmContext)) {
-    const Array& triple = entry.asArray(mmContext + ".per_message[]");
-    AMMB_REQUIRE(triple.size() == 3,
-                 mmContext + ".per_message entries must be [msg, arrive_at, "
-                             "complete_at] triples");
-    core::MessageMetric pm;
-    pm.msg = static_cast<MsgId>(triple[0].asInt(mmContext));
-    pm.arriveAt = triple[1].asInt(mmContext);
-    pm.completeAt = triple[2].asInt(mmContext);
-    mm.perMessage.push_back(pm);
-  }
-
-  record.checked =
-      member(value, "checked", context).asBool(context + ".checked");
-  record.traceHash = parseHexU64(
-      member(value, "trace_hash", context).asString(context + ".trace_hash"),
-      context + ".trace_hash");
-  for (const Value& v : member(value, "check_violations", context)
-                            .asArray(context + ".check_violations")) {
-    record.checkViolations.push_back(
-        v.asString(context + ".check_violations[]"));
-  }
-  record.canonicalTrace = member(value, "canonical_trace", context)
-                              .asString(context + ".canonical_trace");
+  json::Reader r(value, context);
+  readFields(kRecordFields, record, r);
   return record;
 }
+
+namespace {
+
+/// A shard document's ("sweep") or journal's ("journal") header.
+json::Object headerToJson(const RunDocHeader& header, const char* nameKey) {
+  json::Object o = encodeFields(kHeaderFields, header);
+  o.emplace(o.begin(), nameKey, header.sweep);
+  return o;
+}
+
+RunDocHeader headerFromJson(json::Reader& r, const char* nameKey) {
+  RunDocHeader header;
+  header.sweep = r.require(nameKey).asString(r.path(nameKey));
+  readFields(kHeaderFields, header, r);
+  header.shard.validate();
+  return header;
+}
+
+}  // namespace
 
 // --- shard documents --------------------------------------------------------
 
 void emitShardJson(const ShardDoc& doc, std::ostream& out) {
   doc.shard.validate();
-  out << "{\n"
-      << "  \"sweep\": \"" << json::escape(doc.sweep) << "\",\n"
-      << "  \"spec_fingerprint\": \"" << json::escape(doc.specFingerprint)
-      << "\",\n"
-      << "  \"shard_index\": " << doc.shard.index << ",\n"
-      << "  \"shard_count\": " << doc.shard.count << ",\n"
-      << "  \"run_count\": " << doc.runCount << ",\n"
-      << "  \"runs\": [";
+  out << "{\n";
+  writeMembers(headerToJson(doc, "sweep"), out);
+  out << "  \"runs\": [";
   for (std::size_t i = 0; i < doc.records.size(); ++i) {
     out << (i == 0 ? "\n    " : ",\n    ");
     json::dump(recordToJson(doc.records[i]), out);
@@ -498,18 +492,11 @@ std::string shardJson(const ShardDoc& doc) {
 }
 
 ShardDoc parseShardJson(const std::string& text) {
-  const Value root = json::parse(text);
-  const std::string context = "shard document";
+  const json::Value root = json::parse(text);
+  json::Reader r(root, "shard document");
   ShardDoc doc;
-  doc.sweep = member(root, "sweep", context).asString(context + ".sweep");
-  doc.specFingerprint = member(root, "spec_fingerprint", context)
-                            .asString(context + ".spec_fingerprint");
-  doc.shard.index = memberSize(root, "shard_index", context);
-  doc.shard.count = memberSize(root, "shard_count", context);
-  doc.shard.validate();
-  doc.runCount = memberSize(root, "run_count", context);
-  const Array& runs =
-      member(root, "runs", context).asArray(context + ".runs");
+  static_cast<RunDocHeader&>(doc) = headerFromJson(r, "sweep");
+  const json::Array& runs = r.require("runs").asArray(r.path("runs"));
   doc.records.reserve(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     doc.records.push_back(
@@ -573,13 +560,7 @@ std::vector<RunRecord> mergeShardRecords(const SweepSpec& spec,
 // --- run journal ------------------------------------------------------------
 
 std::string journalHeaderLine(const JournalHeader& header) {
-  Object o;
-  o.emplace_back("journal", header.sweep);
-  o.emplace_back("spec_fingerprint", header.specFingerprint);
-  o.emplace_back("shard_index", header.shard.index);
-  o.emplace_back("shard_count", header.shard.count);
-  o.emplace_back("run_count", header.runCount);
-  return json::dump(Value(std::move(o))) + "\n";
+  return json::dump(headerToJson(header, "journal")) + "\n";
 }
 
 std::string journalRecordLine(const RunRecord& record) {
@@ -604,7 +585,7 @@ JournalDoc parseJournal(const std::string& text) {
     ++lineNo;
     if (line.empty()) continue;
 
-    Value value;
+    json::Value value;
     try {
       value = json::parse(line);
     } catch (const std::exception& e) {
@@ -620,15 +601,8 @@ JournalDoc parseJournal(const std::string& text) {
     }
     const std::string context = "journal line " + std::to_string(lineNo);
     if (lineNo == 1) {
-      doc.header.sweep =
-          member(value, "journal", context).asString(context + ".journal");
-      doc.header.specFingerprint =
-          member(value, "spec_fingerprint", context)
-              .asString(context + ".spec_fingerprint");
-      doc.header.shard.index = memberSize(value, "shard_index", context);
-      doc.header.shard.count = memberSize(value, "shard_count", context);
-      doc.header.shard.validate();
-      doc.header.runCount = memberSize(value, "run_count", context);
+      json::Reader r(value, context);
+      doc.header = headerFromJson(r, "journal");
       continue;
     }
     doc.records.push_back(recordFromJson(value, context));

@@ -43,9 +43,6 @@ std::string runsCsv(const SweepResult& result);
 /// Convenience: emitJson into a string.
 std::string toJson(const SweepResult& result);
 
-/// Inverse of sim::toString(RunStatus) for the record codec.
-sim::RunStatus runStatusFromString(const std::string& name);
-
 // --- mergeable per-run records ----------------------------------------------
 
 /// Lossless JSON form of one RunRecord (grid coordinate, outcome,
@@ -57,13 +54,20 @@ json::Value recordToJson(const RunRecord& record);
 RunRecord recordFromJson(const json::Value& value,
                          const std::string& context = "record");
 
-/// One shard's complete output: enough metadata to refuse a merge of
-/// mismatched inputs, plus every record the shard executed.
-struct ShardDoc {
+/// What a shard document or a journal belongs to: enough metadata to
+/// refuse a merge or resume of mismatched inputs.  Both documents share
+/// this header and its codec; the sweep name is spelled "sweep" in a
+/// shard document and "journal" in a journal.
+struct RunDocHeader {
   std::string sweep;            ///< SweepSpec::name
   std::string specFingerprint;  ///< specFingerprint() of the spec file
   Shard shard;
   std::size_t runCount = 0;  ///< full-grid run count (all shards)
+};
+
+/// One shard's complete output: its header plus every record the shard
+/// executed.
+struct ShardDoc : RunDocHeader {
   std::vector<RunRecord> records;
 };
 
@@ -86,12 +90,7 @@ std::vector<RunRecord> mergeShardRecords(const SweepSpec& spec,
 
 /// First line of a journal file: identifies the spec (by fingerprint)
 /// and the shard the journal belongs to.
-struct JournalHeader {
-  std::string sweep;
-  std::string specFingerprint;
-  Shard shard;
-  std::size_t runCount = 0;
-};
+using JournalHeader = RunDocHeader;
 
 /// Parsed journal: header plus every intact record line.  A journal
 /// killed mid-append ends in a partial line; `truncatedTail` reports

@@ -374,6 +374,45 @@ std::string escape(const std::string& s) {
   return out;
 }
 
+std::string hexU64(std::uint64_t v) {
+  char buffer[20];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buffer;
+}
+
+Reader::Reader(const Value& value, std::string context)
+    : context_(std::move(context)),
+      members_(value.asObject(context_)),
+      used_(members_.size(), false) {}
+
+const Value* Reader::find(const std::string& key) {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i].first == key) {
+      used_[i] = true;
+      return &members_[i].second;
+    }
+  }
+  return nullptr;
+}
+
+const Value& Reader::require(const std::string& key) {
+  const Value* v = find(key);
+  if (v == nullptr) {
+    throw Error(context_ + " is missing required field \"" + key + "\"");
+  }
+  return *v;
+}
+
+void Reader::rejectUnknown() const {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (!used_[i]) {
+      throw Error(context_ + " has unknown field \"" + members_[i].first +
+                  "\"");
+    }
+  }
+}
+
 std::string numberToString(double d) {
   AMMB_REQUIRE(std::isfinite(d), "JSON numbers must be finite");
   char buffer[40];

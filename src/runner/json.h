@@ -98,4 +98,32 @@ std::string numberToString(double d);
 /// JSON string escaping (quotes not included).
 std::string escape(const std::string& s);
 
+/// `v` as 16 lowercase hex digits (fingerprints and trace hashes).
+std::string hexU64(std::uint64_t v);
+
+/// Member access for one JSON object; every error names `context.key`.
+/// It remembers which members were read, so strict readers (spec
+/// files) can reject unknown keys, while lenient ones (records, shards,
+/// journals) skip that check and legacy keys keep parsing.
+class Reader {
+ public:
+  /// Throws unless `value` is an object.
+  Reader(const Value& value, std::string context);
+
+  /// The member `key`, or nullptr when absent.
+  const Value* find(const std::string& key);
+  /// The member `key`; throws when absent.
+  const Value& require(const std::string& key);
+  std::string path(const std::string& key) const {
+    return context_ + "." + key;
+  }
+  /// Throws on the first member neither find() nor require() read.
+  void rejectUnknown() const;
+
+ private:
+  std::string context_;
+  const Object& members_;
+  std::vector<bool> used_;
+};
+
 }  // namespace ammb::runner::json

@@ -1,533 +1,325 @@
 #include "runner/spec_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "check/golden.h"
 #include "runner/axis_codec.h"
+#include "runner/field_table.h"
 
 namespace ammb::runner {
 
-namespace {
-
-using json::Array;
-using json::Member;
-using json::Object;
-using json::Value;
-
 // --- enum spellings ---------------------------------------------------------
 
-struct TopologyKindName {
-  TopologyDoc::Kind kind;
-  const char* name;
-};
-constexpr TopologyKindName kTopologyKinds[] = {
-    {TopologyDoc::Kind::kLine, "line"},
-    {TopologyDoc::Kind::kLineR, "line-r"},
-    {TopologyDoc::Kind::kLineArb, "line-arb"},
-    {TopologyDoc::Kind::kGreyField, "grey-field"},
-    {TopologyDoc::Kind::kNetworkC, "network-c"},
-};
-
-struct WorkloadKindName {
-  WorkloadDoc::Kind kind;
-  const char* name;
-};
-constexpr WorkloadKindName kWorkloadKinds[] = {
-    {WorkloadDoc::Kind::kAllAtNode, "all-at-node"},
-    {WorkloadDoc::Kind::kRoundRobin, "round-robin"},
-    {WorkloadDoc::Kind::kSpread, "spread"},
-    {WorkloadDoc::Kind::kRandom, "random"},
-    {WorkloadDoc::Kind::kOnline, "online"},
-    {WorkloadDoc::Kind::kPoisson, "poisson"},
-    {WorkloadDoc::Kind::kBursty, "bursty"},
-    {WorkloadDoc::Kind::kStaggered, "staggered"},
-};
-
-constexpr core::SchedulerKind kAllSchedulers[] = {
-    core::SchedulerKind::kFast,
-    core::SchedulerKind::kRandom,
-    core::SchedulerKind::kSlowAck,
-    core::SchedulerKind::kAdversarial,
-    core::SchedulerKind::kAdversarialStuffing,
-    core::SchedulerKind::kLowerBound,
-};
-
-TopologyDoc::Kind topologyKindFromString(const std::string& name,
-                                          const std::string& context) {
-  for (const auto& entry : kTopologyKinds) {
-    if (name == entry.name) return entry.kind;
-  }
-  throw Error(context + ": unknown topology kind \"" + name +
-              "\" (expected line, line-r, line-arb, grey-field, network-c)");
+template <>
+const Spelling<core::ProtocolKind>& spelling<core::ProtocolKind>() {
+  static const Spelling<core::ProtocolKind> s{
+      "protocol",
+      spelledBy({core::ProtocolKind::kBmmb, core::ProtocolKind::kFmmb},
+                [](auto kind) { return core::toString(kind); })};
+  return s;
 }
 
-WorkloadDoc::Kind workloadKindFromString(const std::string& name,
-                                          const std::string& context) {
-  for (const auto& entry : kWorkloadKinds) {
-    if (name == entry.name) return entry.kind;
-  }
-  throw Error(
-      context + ": unknown workload kind \"" + name +
-      "\" (expected all-at-node, round-robin, spread, random, online, "
-      "poisson, bursty, staggered)");
+template <>
+const Spelling<core::SchedulerKind>& spelling<core::SchedulerKind>() {
+  using core::SchedulerKind;
+  static const Spelling<SchedulerKind> s{
+      "scheduler",
+      spelledBy({SchedulerKind::kFast, SchedulerKind::kRandom,
+                 SchedulerKind::kSlowAck, SchedulerKind::kAdversarial,
+                 SchedulerKind::kAdversarialStuffing,
+                 SchedulerKind::kLowerBound},
+                [](auto kind) { return core::toString(kind); })};
+  return s;
 }
 
-core::ProtocolKind protocolFromString(const std::string& name,
-                                      const std::string& context) {
-  if (name == "bmmb") return core::ProtocolKind::kBmmb;
-  if (name == "fmmb") return core::ProtocolKind::kFmmb;
-  throw Error(context + ": unknown protocol \"" + name +
-              "\" (expected bmmb or fmmb)");
+template <>
+const Spelling<CheckMode>& spelling<CheckMode>() {
+  static const Spelling<CheckMode> s{"check mode",
+                                     {{CheckMode::kOff, "off"},
+                                      {CheckMode::kMac, "mac"},
+                                      {CheckMode::kFull, "full"}}};
+  return s;
 }
 
-mac::ModelVariant variantFromString(const std::string& name,
-                                    const std::string& context) {
-  if (name == "standard") return mac::ModelVariant::kStandard;
-  if (name == "enhanced") return mac::ModelVariant::kEnhanced;
-  throw Error(context + ": unknown MAC variant \"" + name +
-              "\" (expected standard or enhanced)");
+template <>
+const Spelling<core::QueueDiscipline>& spelling<core::QueueDiscipline>() {
+  static const Spelling<core::QueueDiscipline> s{
+      "queue discipline",
+      {{core::QueueDiscipline::kFifo, "fifo"},
+       {core::QueueDiscipline::kLifo, "lifo"},
+       {core::QueueDiscipline::kRandom, "random"}}};
+  return s;
 }
 
-std::string toString(mac::ModelVariant variant) {
-  return variant == mac::ModelVariant::kEnhanced ? "enhanced" : "standard";
+template <>
+const Spelling<mac::ModelVariant>& spelling<mac::ModelVariant>() {
+  static const Spelling<mac::ModelVariant> s{
+      "MAC variant",
+      {{mac::ModelVariant::kStandard, "standard"},
+       {mac::ModelVariant::kEnhanced, "enhanced"}}};
+  return s;
 }
 
-core::FmmbParams::Mode fmmbModeFromString(const std::string& name,
-                                          const std::string& context) {
-  if (name == "interleaved") return core::FmmbParams::Mode::kInterleaved;
-  if (name == "sequential") return core::FmmbParams::Mode::kSequential;
-  throw Error(context + ": unknown fmmb mode \"" + name +
-              "\" (expected interleaved or sequential)");
+template <>
+const Spelling<core::FmmbParams::Mode>& spelling<core::FmmbParams::Mode>() {
+  static const Spelling<core::FmmbParams::Mode> s{
+      "fmmb mode",
+      {{core::FmmbParams::Mode::kInterleaved, "interleaved"},
+       {core::FmmbParams::Mode::kSequential, "sequential"}}};
+  return s;
 }
 
-std::string toString(core::FmmbParams::Mode mode) {
-  return mode == core::FmmbParams::Mode::kSequential ? "sequential"
-                                                     : "interleaved";
-}
+namespace {
 
-// --- field reader -----------------------------------------------------------
+// --- axis kinds -------------------------------------------------------------
+// Each kind of a kinded axis point is declared once: its spelling, its
+// parameters (required unless optional, range-checked eagerly so a
+// typoed committed spec fails at `ammb_sweep print` time rather than
+// mid-sweep) and the canonical builder it instantiates.  parseSpec,
+// writeSpec and buildSweep all loop over these rows.
 
-/// Object accessor that remembers which keys were consumed, so unknown
-/// (typoed) keys fail loudly instead of silently dropping an axis.
-class Fields {
- public:
-  Fields(const Value& value, std::string context)
-      : context_(std::move(context)),
-        members_(value.asObject(context_)),
-        used_(members_.size(), false) {}
+constexpr auto kNodes = field<&TopologyDoc::n>("n").in(Range::kPositive);
 
-  const Value* find(const std::string& key) {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (members_[i].first == key) {
-        used_[i] = true;
-        return &members_[i].second;
-      }
-    }
-    return nullptr;
-  }
-
-  const Value& require(const std::string& key) {
-    const Value* v = find(key);
-    if (v == nullptr) {
-      throw Error(context_ + " is missing required field \"" + key + "\"");
-    }
-    return *v;
-  }
-
-  std::string path(const std::string& key) const {
-    return context_ + "." + key;
-  }
-
-  std::int64_t requireInt(const std::string& key) {
-    return require(key).asInt(path(key));
-  }
-  double requireDouble(const std::string& key) {
-    return require(key).asDouble(path(key));
-  }
-  std::string requireString(const std::string& key) {
-    return require(key).asString(path(key));
-  }
-
-  std::int64_t optInt(const std::string& key, std::int64_t fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asInt(path(key));
-  }
-  bool optBool(const std::string& key, bool fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asBool(path(key));
-  }
-  double optDouble(const std::string& key, double fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asDouble(path(key));
-  }
-  std::string optString(const std::string& key, const std::string& fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asString(path(key));
-  }
-
-  /// Call after reading every known field.
-  void rejectUnknown() const {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (!used_[i]) {
-        throw Error(context_ + " has unknown field \"" + members_[i].first +
-                    "\"");
-      }
-    }
-  }
-
- private:
-  std::string context_;
-  const Object& members_;
-  std::vector<bool> used_;
+constexpr Kind<TopologyDoc, TopologySpec> kTopologyKinds[] = {
+    {TopologyDoc::Kind::kLine, "line", {kNodes},
+     [](const TopologyDoc& t) { return lineTopology(t.n); }},
+    {TopologyDoc::Kind::kLineR, "line-r",
+     {kNodes, field<&TopologyDoc::r>("r").in(Range::kPositive),
+      field<&TopologyDoc::edgeProb>("edge_prob").in(Range::kProbability)},
+     [](const TopologyDoc& t) {
+       return rRestrictedLineTopology(t.n, t.r, t.edgeProb);
+     }},
+    {TopologyDoc::Kind::kLineArb, "line-arb",
+     {kNodes,
+      field<&TopologyDoc::extraEdges>("extra_edges").in(Range::kNonNegative)},
+     [](const TopologyDoc& t) {
+       return arbitraryNoiseLineTopology(
+           t.n, static_cast<std::size_t>(t.extraEdges));
+     }},
+    {TopologyDoc::Kind::kGreyField, "grey-field",
+     {kNodes,
+      field<&TopologyDoc::avgDegree>("avg_degree").in(Range::kAboveZero),
+      field<&TopologyDoc::c>("c").in(Range::kAtLeastOne),
+      field<&TopologyDoc::pGrey>("p_grey").in(Range::kProbability)},
+     [](const TopologyDoc& t) {
+       return greyZoneFieldTopology(t.n, t.avgDegree, t.c, t.pGrey);
+     }},
+    {TopologyDoc::Kind::kNetworkC, "network-c",
+     {field<&TopologyDoc::d>("d").in(Range::kPositive)},
+     [](const TopologyDoc& t) { return lowerBoundNetworkCTopology(t.d); }},
 };
 
-int toIntField(std::int64_t v, const std::string& context) {
-  AMMB_REQUIRE(v >= INT32_MIN && v <= INT32_MAX,
-               context + " out of 32-bit range");
-  return static_cast<int>(v);
-}
+constexpr auto kInterval =
+    field<&WorkloadDoc::interval>("interval").in(Range::kNonNegative);
 
-void requirePositive(std::int64_t v, const std::string& context) {
-  AMMB_REQUIRE(v >= 1, context + " must be at least 1");
-}
+constexpr Kind<WorkloadDoc, WorkloadSpec> kWorkloadKinds[] = {
+    {WorkloadDoc::Kind::kAllAtNode, "all-at-node",
+     {field<&WorkloadDoc::node>("node").opt().in(Range::kNonNegative)},
+     [](const WorkloadDoc& w) { return allAtNodeWorkload(w.node); }},
+    {WorkloadDoc::Kind::kRoundRobin, "round-robin", {},
+     [](const WorkloadDoc&) { return roundRobinWorkload(); }},
+    {WorkloadDoc::Kind::kSpread, "spread", {},
+     [](const WorkloadDoc&) { return spreadWorkload(); }},
+    {WorkloadDoc::Kind::kRandom, "random", {},
+     [](const WorkloadDoc&) { return randomWorkload(); }},
+    {WorkloadDoc::Kind::kOnline, "online", {kInterval},
+     [](const WorkloadDoc& w) { return onlineWorkload(w.interval); }},
+    {WorkloadDoc::Kind::kPoisson, "poisson",
+     {field<&WorkloadDoc::meanGap>("mean_gap").in(Range::kAboveZero)},
+     [](const WorkloadDoc& w) { return poissonWorkload(w.meanGap); }},
+    {WorkloadDoc::Kind::kBursty, "bursty",
+     {field<&WorkloadDoc::batch>("batch").in(Range::kPositive),
+      field<&WorkloadDoc::gap>("gap").in(Range::kNonNegative)},
+     [](const WorkloadDoc& w) { return burstyWorkload(w.batch, w.gap); }},
+    {WorkloadDoc::Kind::kStaggered, "staggered",
+     {field<&WorkloadDoc::sources>("sources").in(Range::kPositive), kInterval},
+     [](const WorkloadDoc& w) {
+       return staggeredWorkload(w.sources, w.interval);
+     }},
+};
 
-void requireNonNegative(std::int64_t v, const std::string& context) {
-  AMMB_REQUIRE(v >= 0, context + " must be non-negative");
-}
+using core::DynamicsSpec;
+constexpr auto kPeriod =
+    field<&DynamicsSpec::period>("period").in(Range::kPositive);
 
-void requireProbability(double v, const std::string& context) {
-  AMMB_REQUIRE(v >= 0.0 && v <= 1.0, context + " must be in [0, 1]");
-}
+/// Dynamics points build nothing of their own: DynamicsSpec is the
+/// executable form.
+constexpr Kind<DynamicsSpec, void> kDynamicsKinds[] = {
+    {DynamicsSpec::Kind::kStatic, "static", {}, nullptr},
+    {DynamicsSpec::Kind::kCrash, "crash",
+     {field<&DynamicsSpec::crashes>("crashes").in(Range::kPositive), kPeriod,
+      field<&DynamicsSpec::downFor>("down_for")},
+     nullptr,
+     [](const DynamicsSpec& d, const json::Reader& r) {
+       AMMB_REQUIRE(d.downFor >= 1 && d.downFor < d.period,
+                    r.path("down_for") +
+                        " must satisfy 0 < down_for < period");
+     }},
+    {DynamicsSpec::Kind::kGreyDrift, "grey-drift",
+     {field<&DynamicsSpec::epochs>("epochs").in(Range::kPositive), kPeriod,
+      field<&DynamicsSpec::churn>("churn").in(Range::kProbability)},
+     nullptr},
+};
 
-// --- per-section parsers ----------------------------------------------------
+constexpr Field<MacDoc> kMacFields[] = {
+    field<&MacDoc::name>("name").opt().in(Range::kNonEmpty),
+    field<&MacDoc::params, &mac::MacParams::fack>("fack").opt(),
+    field<&MacDoc::params, &mac::MacParams::fprog>("fprog").opt(),
+    field<&MacDoc::params, &mac::MacParams::epsAbort>("eps_abort").opt(),
+    field<&MacDoc::params, &mac::MacParams::msgCapacity>("msg_capacity").opt(),
+    field<&MacDoc::params, &mac::MacParams::variant>("variant").opt(),
+};
 
-TopologyDoc parseTopology(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  TopologyDoc doc;
-  doc.kind = topologyKindFromString(f.requireString("kind"), f.path("kind"));
-  // Range checks are eager so a typoed committed spec fails at
-  // `ammb_sweep print` / spec-validation time, not per-run mid-sweep.
-  switch (doc.kind) {
-    case TopologyDoc::Kind::kLine:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      break;
-    case TopologyDoc::Kind::kLineR:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      doc.r = toIntField(f.requireInt("r"), f.path("r"));
-      requirePositive(doc.r, f.path("r"));
-      doc.edgeProb = f.requireDouble("edge_prob");
-      requireProbability(doc.edgeProb, f.path("edge_prob"));
-      break;
-    case TopologyDoc::Kind::kLineArb:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      doc.extraEdges = f.requireInt("extra_edges");
-      requireNonNegative(doc.extraEdges, f.path("extra_edges"));
-      break;
-    case TopologyDoc::Kind::kGreyField:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      doc.avgDegree = f.requireDouble("avg_degree");
-      AMMB_REQUIRE(doc.avgDegree > 0.0,
-                   f.path("avg_degree") + " must be positive");
-      doc.c = f.requireDouble("c");
-      AMMB_REQUIRE(doc.c >= 1.0, f.path("c") + " must be >= 1");
-      doc.pGrey = f.requireDouble("p_grey");
-      requireProbability(doc.pGrey, f.path("p_grey"));
-      break;
-    case TopologyDoc::Kind::kNetworkC:
-      doc.d = toIntField(f.requireInt("d"), f.path("d"));
-      requirePositive(doc.d, f.path("d"));
-      break;
-  }
-  f.rejectUnknown();
-  return doc;
-}
+constexpr Field<FmmbDoc> kFmmbFields[] = {
+    field<&FmmbDoc::c>("c").opt().in(Range::kAtLeastOne),
+    field<&FmmbDoc::mode>("mode").opt(),
+    field<&FmmbDoc::strictPaperPhases>("strict_paper_phases").opt(),
+};
 
-WorkloadDoc parseWorkload(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  WorkloadDoc doc;
-  doc.kind = workloadKindFromString(f.requireString("kind"), f.path("kind"));
-  switch (doc.kind) {
-    case WorkloadDoc::Kind::kAllAtNode:
-      doc.node = toIntField(f.optInt("node", 0), f.path("node"));
-      requireNonNegative(doc.node, f.path("node"));
-      break;
-    case WorkloadDoc::Kind::kRoundRobin:
-    case WorkloadDoc::Kind::kSpread:
-    case WorkloadDoc::Kind::kRandom:
-      break;
-    case WorkloadDoc::Kind::kOnline:
-      doc.interval = f.requireInt("interval");
-      requireNonNegative(doc.interval, f.path("interval"));
-      break;
-    case WorkloadDoc::Kind::kPoisson:
-      doc.meanGap = f.requireDouble("mean_gap");
-      AMMB_REQUIRE(doc.meanGap > 0.0, f.path("mean_gap") +
-                                          " must be positive");
-      break;
-    case WorkloadDoc::Kind::kBursty:
-      doc.batch = toIntField(f.requireInt("batch"), f.path("batch"));
-      requirePositive(doc.batch, f.path("batch"));
-      doc.gap = f.requireInt("gap");
-      requireNonNegative(doc.gap, f.path("gap"));
-      break;
-    case WorkloadDoc::Kind::kStaggered:
-      doc.sources = toIntField(f.requireInt("sources"), f.path("sources"));
-      requirePositive(doc.sources, f.path("sources"));
-      doc.interval = f.requireInt("interval");
-      requireNonNegative(doc.interval, f.path("interval"));
-      break;
-  }
-  f.rejectUnknown();
-  return doc;
-}
-
-MacDoc parseMac(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  MacDoc doc;
-  doc.params.fack = f.optInt("fack", doc.params.fack);
-  doc.params.fprog = f.optInt("fprog", doc.params.fprog);
-  doc.params.epsAbort = f.optInt("eps_abort", doc.params.epsAbort);
-  doc.params.msgCapacity = toIntField(
-      f.optInt("msg_capacity", doc.params.msgCapacity), f.path("msg_capacity"));
-  doc.params.variant =
-      variantFromString(f.optString("variant", "standard"), f.path("variant"));
-  doc.name = f.optString("name", "f" + std::to_string(doc.params.fprog) + "a" +
-                                     std::to_string(doc.params.fack));
-  AMMB_REQUIRE(!doc.name.empty(), context + ".name must be non-empty");
-  f.rejectUnknown();
-  doc.params.validate();
-  return doc;
-}
-
-core::DynamicsSpec::Kind dynamicsKindFromString(const std::string& name,
-                                                const std::string& context) {
-  if (name == "static") return core::DynamicsSpec::Kind::kStatic;
-  if (name == "crash") return core::DynamicsSpec::Kind::kCrash;
-  if (name == "grey-drift") return core::DynamicsSpec::Kind::kGreyDrift;
-  throw Error(context + ": unknown dynamics kind \"" + name +
-              "\" (expected static, crash, grey-drift)");
-}
-
-std::string toString(core::DynamicsSpec::Kind kind) {
-  switch (kind) {
-    case core::DynamicsSpec::Kind::kStatic: return "static";
-    case core::DynamicsSpec::Kind::kCrash: return "crash";
-    case core::DynamicsSpec::Kind::kGreyDrift: return "grey-drift";
-  }
-  return "?";
-}
-
-DynamicsDoc parseDynamics(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  DynamicsDoc doc;
-  doc.spec.kind =
-      dynamicsKindFromString(f.requireString("kind"), f.path("kind"));
-  switch (doc.spec.kind) {
-    case core::DynamicsSpec::Kind::kStatic:
-      break;
-    case core::DynamicsSpec::Kind::kCrash:
-      doc.spec.crashes =
-          toIntField(f.requireInt("crashes"), f.path("crashes"));
-      requirePositive(doc.spec.crashes, f.path("crashes"));
-      doc.spec.period = f.requireInt("period");
-      requirePositive(doc.spec.period, f.path("period"));
-      doc.spec.downFor = f.requireInt("down_for");
-      AMMB_REQUIRE(doc.spec.downFor >= 1 &&
-                       doc.spec.downFor < doc.spec.period,
-                   f.path("down_for") + " must satisfy 0 < down_for < period");
-      break;
-    case core::DynamicsSpec::Kind::kGreyDrift:
-      doc.spec.epochs = toIntField(f.requireInt("epochs"), f.path("epochs"));
-      requirePositive(doc.spec.epochs, f.path("epochs"));
-      doc.spec.period = f.requireInt("period");
-      requirePositive(doc.spec.period, f.path("period"));
-      doc.spec.churn = f.requireDouble("churn");
-      requireProbability(doc.spec.churn, f.path("churn"));
-      break;
-  }
-  doc.name = f.optString("name", doc.spec.label());
-  AMMB_REQUIRE(!doc.name.empty(), context + ".name must be non-empty");
-  f.rejectUnknown();
-  return doc;
-}
-
-FmmbDoc parseFmmb(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  FmmbDoc doc;
-  doc.c = f.optDouble("c", doc.c);
-  doc.mode =
-      fmmbModeFromString(f.optString("mode", "interleaved"), f.path("mode"));
-  doc.strictPaperPhases = f.optBool("strict_paper_phases", false);
-  f.rejectUnknown();
-  AMMB_REQUIRE(doc.c >= 1.0, context + ".c must be >= 1");
-  return doc;
+/// Reads a spec object: every row of `table`, then no other key.
+template <class Table, class T>
+void readStrict(const Table& table, T& obj, const json::Value& v,
+                const std::string& path) {
+  json::Reader r(v, path);
+  readFields(table, obj, r);
+  r.rejectUnknown();
 }
 
 }  // namespace
 
-// --- public enum spellings --------------------------------------------------
+// The axis points' codecs, found by the vector codec of SpecDoc's rows.
 
-std::string toString(TopologyDoc::Kind kind) {
-  for (const auto& entry : kTopologyKinds) {
-    if (kind == entry.kind) return entry.name;
-  }
-  return "?";
+json::Value encodeValue(const TopologyDoc& t) {
+  return encodeKind(kTopologyKinds, t);
 }
 
-std::string toString(WorkloadDoc::Kind kind) {
-  for (const auto& entry : kWorkloadKinds) {
-    if (kind == entry.kind) return entry.name;
-  }
-  return "?";
+void decodeValue(TopologyDoc& t, const json::Value& v,
+                 const std::string& path) {
+  json::Reader r(v, path);
+  decodeKind(kTopologyKinds, t, r, "topology kind");
+  r.rejectUnknown();
 }
 
-core::SchedulerKind schedulerFromString(const std::string& name) {
-  for (core::SchedulerKind kind : kAllSchedulers) {
-    if (name == core::toString(kind)) return kind;
-  }
-  throw Error(
-      "unknown scheduler \"" + name +
-      "\" (expected fast, random, slow-ack, adversarial, adversarial+stuff, "
-      "lower-bound)");
+json::Value encodeValue(const WorkloadDoc& w) {
+  return encodeKind(kWorkloadKinds, w);
 }
 
-CheckMode checkModeFromString(const std::string& name) {
-  for (CheckMode mode : {CheckMode::kOff, CheckMode::kMac, CheckMode::kFull}) {
-    if (name == toString(mode)) return mode;
-  }
-  throw Error("unknown check mode \"" + name +
-              "\" (expected off, mac, full)");
+void decodeValue(WorkloadDoc& w, const json::Value& v,
+                 const std::string& path) {
+  json::Reader r(v, path);
+  decodeKind(kWorkloadKinds, w, r, "workload kind");
+  r.rejectUnknown();
 }
 
-std::string toString(core::QueueDiscipline discipline) {
-  switch (discipline) {
-    case core::QueueDiscipline::kFifo: return "fifo";
-    case core::QueueDiscipline::kLifo: return "lifo";
-    case core::QueueDiscipline::kRandom: return "random";
-  }
-  return "?";
+json::Value encodeValue(const DynamicsDoc& d) {
+  json::Object o = encodeKind(kDynamicsKinds, d.spec);
+  o.emplace_back("name", d.name);
+  return o;
 }
 
-core::QueueDiscipline disciplineFromString(const std::string& name) {
-  for (core::QueueDiscipline d :
-       {core::QueueDiscipline::kFifo, core::QueueDiscipline::kLifo,
-        core::QueueDiscipline::kRandom}) {
-    if (name == toString(d)) return d;
-  }
-  throw Error("unknown queue discipline \"" + name +
-              "\" (expected fifo, lifo, random)");
+void decodeValue(DynamicsDoc& d, const json::Value& v,
+                 const std::string& path) {
+  json::Reader r(v, path);
+  decodeKind(kDynamicsKinds, d.spec, r, "dynamics kind");
+  const json::Value* name = r.find("name");
+  d.name = name != nullptr ? name->asString(r.path("name")) : d.spec.label();
+  AMMB_REQUIRE(!d.name.empty(), path + ".name must be non-empty");
+  r.rejectUnknown();
 }
+
+json::Value encodeValue(const MacDoc& m) {
+  return encodeFields(kMacFields, m);
+}
+
+void decodeValue(MacDoc& m, const json::Value& v, const std::string& path) {
+  readStrict(kMacFields, m, v, path);
+  if (m.name.empty()) {
+    m.name = "f" + std::to_string(m.params.fprog) + "a" +
+             std::to_string(m.params.fack);
+  }
+  m.params.validate();
+}
+
+namespace {
+
+/// A spec row for one execution axis of the AxisCodec table.
+template <std::size_t Axis>
+Field<SpecDoc> axisField() {
+  Field<SpecDoc> f;
+  f.key = axisCodecs()[Axis].specKey;
+  f.get = [](const SpecDoc& doc) {
+    return axisToJson(doc, axisCodecs()[Axis]);
+  };
+  f.set = [](SpecDoc& doc, const json::Value& v, const std::string& path) {
+    axisFromJson(doc, axisCodecs()[Axis], v, path);
+  };
+  f.elide = [](const SpecDoc& doc) {
+    return axisAtDefault(doc, axisCodecs()[Axis]);
+  };
+  f.optional = true;
+  return f;
+}
+
+/// null stands for kTimeNever.
+struct TimeOrNull {
+  static json::Value encode(Time t) {
+    return t == kTimeNever ? json::Value(nullptr) : json::Value(t);
+  }
+  static void decode(Time& out, const json::Value& v,
+                     const std::string& path) {
+    out = v.isNull() ? kTimeNever : v.asInt(path);
+  }
+};
+
+/// The spec file's top-level keys, in canonical (writeSpec) order.
+/// Optional keys keep SpecDoc's defaults when absent; the writer spells
+/// every key out except the axes at their defaults and "fmmb" for BMMB.
+const std::vector<Field<SpecDoc>>& specFields() {
+  static const std::vector<Field<SpecDoc>> fields = {
+      field<&SpecDoc::name>("name").in(Range::kNonEmpty),
+      field<&SpecDoc::protocol>("protocol"),
+      field<&SpecDoc::topologies>("topologies"),
+      field<&SpecDoc::schedulers>("schedulers"),
+      field<&SpecDoc::ks>("ks"),
+      field<&SpecDoc::macs>("macs"),
+      field<&SpecDoc::workloads>("workloads"),
+      field<&SpecDoc::dynamics>("dynamics").opt().in(Range::kNonEmpty),
+      axisField<kReactionAxis>(),
+      field<&SpecDoc::seedBegin>("seed_begin"),
+      field<&SpecDoc::seedEnd>("seed_end"),
+      field<&SpecDoc::stopOnSolve>("stop_on_solve").opt(),
+      field<&SpecDoc::recordTrace>("record_trace").opt(),
+      field<&SpecDoc::check>("check").opt(),
+      fieldAs<TimeOrNull, &SpecDoc::maxTime>("max_time").opt().in(
+          Range::kNonNegative),
+      field<&SpecDoc::maxEvents>("max_events").opt().in(Range::kPositive),
+      field<&SpecDoc::discipline>("discipline").opt(),
+      field<&SpecDoc::lowerBoundLineLength>("lower_bound_line_length").opt(),
+      axisField<kMacAxis>(),
+      axisField<kBackendAxis>(),
+      axisField<kTraceAxis>(),
+      axisField<kKernelAxis>(),
+      {"fmmb",
+       [](const SpecDoc& doc) -> json::Value {
+         return encodeFields(kFmmbFields, doc.fmmb);
+       },
+       [](SpecDoc& doc, const json::Value& v, const std::string& path) {
+         doc.hasFmmb = true;
+         readStrict(kFmmbFields, doc.fmmb, v, path);
+       },
+       [](const SpecDoc& doc) { return !doc.hasFmmb; }, /*optional=*/true},
+  };
+  return fields;
+}
+
+}  // namespace
 
 // --- parse ------------------------------------------------------------------
 
 SpecDoc parseSpec(const std::string& jsonText) {
-  const Value root = json::parse(jsonText);
-  Fields f(root, "spec");
   SpecDoc doc;
-  doc.name = f.requireString("name");
-  AMMB_REQUIRE(!doc.name.empty(), "spec.name must be non-empty");
-  doc.protocol =
-      protocolFromString(f.requireString("protocol"), f.path("protocol"));
-
-  const Array& topologies = f.require("topologies").asArray("spec.topologies");
-  for (std::size_t i = 0; i < topologies.size(); ++i) {
-    doc.topologies.push_back(parseTopology(
-        topologies[i], "spec.topologies[" + std::to_string(i) + "]"));
-  }
-  const Array& schedulers = f.require("schedulers").asArray("spec.schedulers");
-  for (std::size_t i = 0; i < schedulers.size(); ++i) {
-    doc.schedulers.push_back(schedulerFromString(schedulers[i].asString(
-        "spec.schedulers[" + std::to_string(i) + "]")));
-  }
-  const Array& ks = f.require("ks").asArray("spec.ks");
-  for (std::size_t i = 0; i < ks.size(); ++i) {
-    const std::string context = "spec.ks[" + std::to_string(i) + "]";
-    doc.ks.push_back(toIntField(ks[i].asInt(context), context));
-  }
-  const Array& macs = f.require("macs").asArray("spec.macs");
-  for (std::size_t i = 0; i < macs.size(); ++i) {
-    doc.macs.push_back(
-        parseMac(macs[i], "spec.macs[" + std::to_string(i) + "]"));
-  }
-  const Array& workloads = f.require("workloads").asArray("spec.workloads");
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    doc.workloads.push_back(parseWorkload(
-        workloads[i], "spec.workloads[" + std::to_string(i) + "]"));
-  }
-  if (const Value* dynamics = f.find("dynamics"); dynamics != nullptr) {
-    doc.dynamics.clear();
-    const Array& entries = dynamics->asArray("spec.dynamics");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      doc.dynamics.push_back(parseDynamics(
-          entries[i], "spec.dynamics[" + std::to_string(i) + "]"));
-    }
-    AMMB_REQUIRE(!doc.dynamics.empty(),
-                 "spec.dynamics must not be an empty array");
-  }
-  // The tagged-label execution axes (kernel / mac / reactions /
-  // backend / trace_mode) all parse through the axis table: one optional key each,
-  // defaulting, with errors naming the full key path.
-  for (const AxisCodec& codec : axisCodecs()) {
-    if (codec.multi) {
-      const Value* entriesValue = f.find(codec.specKey);
-      if (entriesValue == nullptr) continue;
-      const Array& entries = entriesValue->asArray(f.path(codec.specKey));
-      AMMB_REQUIRE(!entries.empty(), f.path(codec.specKey) +
-                                         " must not be an empty array");
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        const std::string context =
-            f.path(codec.specKey) + "[" + std::to_string(i) + "]";
-        const std::string label = entries[i].asString(context);
-        try {
-          codec.parseInto(doc, label, i == 0);
-        } catch (const std::exception& e) {
-          throw Error(context + ": " + e.what());
-        }
-      }
-      continue;
-    }
-    const std::string label = f.optString(codec.specKey, codec.defaultLabel);
-    try {
-      codec.parseInto(doc, label, true);
-    } catch (const std::exception& e) {
-      throw Error(f.path(codec.specKey) + ": " + e.what());
-    }
-  }
-
-  const std::int64_t seedBegin = f.requireInt("seed_begin");
-  const std::int64_t seedEnd = f.requireInt("seed_end");
-  AMMB_REQUIRE(seedBegin >= 0 && seedEnd >= 0,
-               "spec seed range must be non-negative");
-  doc.seedBegin = static_cast<std::uint64_t>(seedBegin);
-  doc.seedEnd = static_cast<std::uint64_t>(seedEnd);
-
-  doc.stopOnSolve = f.optBool("stop_on_solve", true);
-  doc.recordTrace = f.optBool("record_trace", false);
-  doc.check = checkModeFromString(f.optString("check", "off"));
-  if (const Value* maxTime = f.find("max_time");
-      maxTime != nullptr && !maxTime->isNull()) {
-    doc.maxTime = maxTime->asInt("spec.max_time");
-    AMMB_REQUIRE(doc.maxTime >= 0, "spec.max_time must be non-negative");
-  }
-  const std::int64_t maxEvents =
-      f.optInt("max_events", static_cast<std::int64_t>(doc.maxEvents));
-  AMMB_REQUIRE(maxEvents >= 1, "spec.max_events must be at least 1");
-  doc.maxEvents = static_cast<std::uint64_t>(maxEvents);
-  doc.discipline = disciplineFromString(f.optString("discipline", "fifo"));
-  doc.lowerBoundLineLength =
-      toIntField(f.optInt("lower_bound_line_length", 0),
-                 "spec.lower_bound_line_length");
-  if (const Value* fmmb = f.find("fmmb"); fmmb != nullptr) {
-    doc.hasFmmb = true;
-    doc.fmmb = parseFmmb(*fmmb, "spec.fmmb");
-  }
-  f.rejectUnknown();
-
+  readStrict(specFields(), doc, json::parse(jsonText), "spec");
   if (doc.protocol == core::ProtocolKind::kFmmb) {
     AMMB_REQUIRE(doc.hasFmmb, "fmmb sweeps need a \"fmmb\" parameter object");
   } else {
@@ -553,151 +345,7 @@ SpecDoc loadSpecFile(const std::string& path) {
 // --- canonical writer -------------------------------------------------------
 
 std::string writeSpec(const SpecDoc& doc) {
-  Object root;
-  root.emplace_back("name", doc.name);
-  root.emplace_back("protocol", core::toString(doc.protocol));
-
-  Array topologies;
-  for (const TopologyDoc& t : doc.topologies) {
-    Object o;
-    o.emplace_back("kind", toString(t.kind));
-    switch (t.kind) {
-      case TopologyDoc::Kind::kLine:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        break;
-      case TopologyDoc::Kind::kLineR:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        o.emplace_back("r", t.r);
-        o.emplace_back("edge_prob", t.edgeProb);
-        break;
-      case TopologyDoc::Kind::kLineArb:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        o.emplace_back("extra_edges", t.extraEdges);
-        break;
-      case TopologyDoc::Kind::kGreyField:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        o.emplace_back("avg_degree", t.avgDegree);
-        o.emplace_back("c", t.c);
-        o.emplace_back("p_grey", t.pGrey);
-        break;
-      case TopologyDoc::Kind::kNetworkC:
-        o.emplace_back("d", t.d);
-        break;
-    }
-    topologies.emplace_back(std::move(o));
-  }
-  root.emplace_back("topologies", std::move(topologies));
-
-  Array schedulers;
-  for (core::SchedulerKind s : doc.schedulers) {
-    schedulers.emplace_back(core::toString(s));
-  }
-  root.emplace_back("schedulers", std::move(schedulers));
-
-  Array ks;
-  for (int k : doc.ks) ks.emplace_back(k);
-  root.emplace_back("ks", std::move(ks));
-
-  Array macs;
-  for (const MacDoc& m : doc.macs) {
-    Object o;
-    o.emplace_back("name", m.name);
-    o.emplace_back("fack", m.params.fack);
-    o.emplace_back("fprog", m.params.fprog);
-    o.emplace_back("eps_abort", m.params.epsAbort);
-    o.emplace_back("msg_capacity", m.params.msgCapacity);
-    o.emplace_back("variant", toString(m.params.variant));
-    macs.emplace_back(std::move(o));
-  }
-  root.emplace_back("macs", std::move(macs));
-
-  Array workloads;
-  for (const WorkloadDoc& w : doc.workloads) {
-    Object o;
-    o.emplace_back("kind", toString(w.kind));
-    switch (w.kind) {
-      case WorkloadDoc::Kind::kAllAtNode:
-        o.emplace_back("node", static_cast<std::int64_t>(w.node));
-        break;
-      case WorkloadDoc::Kind::kRoundRobin:
-      case WorkloadDoc::Kind::kSpread:
-      case WorkloadDoc::Kind::kRandom:
-        break;
-      case WorkloadDoc::Kind::kOnline:
-        o.emplace_back("interval", w.interval);
-        break;
-      case WorkloadDoc::Kind::kPoisson:
-        o.emplace_back("mean_gap", w.meanGap);
-        break;
-      case WorkloadDoc::Kind::kBursty:
-        o.emplace_back("batch", w.batch);
-        o.emplace_back("gap", w.gap);
-        break;
-      case WorkloadDoc::Kind::kStaggered:
-        o.emplace_back("sources", w.sources);
-        o.emplace_back("interval", w.interval);
-        break;
-    }
-    workloads.emplace_back(std::move(o));
-  }
-  root.emplace_back("workloads", std::move(workloads));
-
-  Array dynamics;
-  for (const DynamicsDoc& d : doc.dynamics) {
-    Object o;
-    o.emplace_back("kind", toString(d.spec.kind));
-    switch (d.spec.kind) {
-      case core::DynamicsSpec::Kind::kStatic:
-        break;
-      case core::DynamicsSpec::Kind::kCrash:
-        o.emplace_back("crashes", d.spec.crashes);
-        o.emplace_back("period", d.spec.period);
-        o.emplace_back("down_for", d.spec.downFor);
-        break;
-      case core::DynamicsSpec::Kind::kGreyDrift:
-        o.emplace_back("epochs", d.spec.epochs);
-        o.emplace_back("period", d.spec.period);
-        o.emplace_back("churn", d.spec.churn);
-        break;
-    }
-    o.emplace_back("name", d.name);
-    dynamics.emplace_back(std::move(o));
-  }
-  root.emplace_back("dynamics", std::move(dynamics));
-
-  // The reaction axis is emitted only when non-default, so every
-  // pre-existing spec's canonical form (and fingerprint) is unchanged;
-  // a reactive axis changes results, so when present it is part of
-  // the fingerprint like "mac".
-  emitSpecAxis(root, doc, axisCodec("reaction"));
-
-  root.emplace_back("seed_begin", static_cast<std::int64_t>(doc.seedBegin));
-  root.emplace_back("seed_end", static_cast<std::int64_t>(doc.seedEnd));
-  root.emplace_back("stop_on_solve", doc.stopOnSolve);
-  root.emplace_back("record_trace", doc.recordTrace);
-  root.emplace_back("check", toString(doc.check));
-  root.emplace_back("max_time", doc.maxTime == kTimeNever
-                                    ? Value(nullptr)
-                                    : Value(doc.maxTime));
-  root.emplace_back("max_events", static_cast<std::int64_t>(doc.maxEvents));
-  root.emplace_back("discipline", toString(doc.discipline));
-  root.emplace_back("lower_bound_line_length", doc.lowerBoundLineLength);
-  // Emitted only when non-default, so every existing spec's canonical
-  // serialization (and fingerprint) is stable.  "kernel" only ever
-  // holds its default, so it is never written; "mac" and "backend"
-  // change results, so when present they *are* part of the
-  // fingerprint.
-  emitSpecAxis(root, doc, axisCodec("mac"));
-  emitSpecAxis(root, doc, axisCodec("backend"));
-  emitSpecAxis(root, doc, axisCodec("trace"));
-  if (doc.hasFmmb) {
-    Object fmmb;
-    fmmb.emplace_back("c", doc.fmmb.c);
-    fmmb.emplace_back("mode", toString(doc.fmmb.mode));
-    fmmb.emplace_back("strict_paper_phases", doc.fmmb.strictPaperPhases);
-    root.emplace_back("fmmb", std::move(fmmb));
-  }
-  return json::dump(Value(std::move(root)), 2);
+  return json::dump(encodeFields(specFields(), doc), 2);
 }
 
 // --- builder ----------------------------------------------------------------
@@ -707,26 +355,7 @@ SweepSpec buildSweep(const SpecDoc& doc) {
   spec.name = doc.name;
   spec.protocol = doc.protocol;
   for (const TopologyDoc& t : doc.topologies) {
-    switch (t.kind) {
-      case TopologyDoc::Kind::kLine:
-        spec.topologies.push_back(lineTopology(t.n));
-        break;
-      case TopologyDoc::Kind::kLineR:
-        spec.topologies.push_back(
-            rRestrictedLineTopology(t.n, t.r, t.edgeProb));
-        break;
-      case TopologyDoc::Kind::kLineArb:
-        spec.topologies.push_back(arbitraryNoiseLineTopology(
-            t.n, static_cast<std::size_t>(t.extraEdges)));
-        break;
-      case TopologyDoc::Kind::kGreyField:
-        spec.topologies.push_back(
-            greyZoneFieldTopology(t.n, t.avgDegree, t.c, t.pGrey));
-        break;
-      case TopologyDoc::Kind::kNetworkC:
-        spec.topologies.push_back(lowerBoundNetworkCTopology(t.d));
-        break;
-    }
+    spec.topologies.push_back(rowOf(kTopologyKinds, t.kind).build(t));
   }
   spec.schedulers = doc.schedulers;
   spec.ks = doc.ks;
@@ -734,32 +363,7 @@ SweepSpec buildSweep(const SpecDoc& doc) {
     spec.macs.push_back({m.name, m.params});
   }
   for (const WorkloadDoc& w : doc.workloads) {
-    switch (w.kind) {
-      case WorkloadDoc::Kind::kAllAtNode:
-        spec.workloads.push_back(allAtNodeWorkload(w.node));
-        break;
-      case WorkloadDoc::Kind::kRoundRobin:
-        spec.workloads.push_back(roundRobinWorkload());
-        break;
-      case WorkloadDoc::Kind::kSpread:
-        spec.workloads.push_back(spreadWorkload());
-        break;
-      case WorkloadDoc::Kind::kRandom:
-        spec.workloads.push_back(randomWorkload());
-        break;
-      case WorkloadDoc::Kind::kOnline:
-        spec.workloads.push_back(onlineWorkload(w.interval));
-        break;
-      case WorkloadDoc::Kind::kPoisson:
-        spec.workloads.push_back(poissonWorkload(w.meanGap));
-        break;
-      case WorkloadDoc::Kind::kBursty:
-        spec.workloads.push_back(burstyWorkload(w.batch, w.gap));
-        break;
-      case WorkloadDoc::Kind::kStaggered:
-        spec.workloads.push_back(staggeredWorkload(w.sources, w.interval));
-        break;
-    }
+    spec.workloads.push_back(rowOf(kWorkloadKinds, w.kind).build(w));
   }
   spec.dynamics.clear();
   for (const DynamicsDoc& d : doc.dynamics) {
@@ -795,16 +399,7 @@ SweepSpec buildSweep(const SpecDoc& doc) {
 }
 
 std::string specFingerprint(const SpecDoc& doc) {
-  const std::string canonical = writeSpec(doc);
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-  for (char c : canonical) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a 64 prime
-  }
-  char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
+  return json::hexU64(check::fnv1a(writeSpec(doc)));
 }
 
 }  // namespace ammb::runner

@@ -206,16 +206,8 @@ std::string writeSpec(const SpecDoc& doc);
 /// the canonical families) and validates it.
 SweepSpec buildSweep(const SpecDoc& doc);
 
-/// FNV-1a 64 over writeSpec(doc), rendered as 16 hex digits.  Embedded
+/// check::fnv1a over writeSpec(doc), rendered as 16 hex digits.  Embedded
 /// in shard outputs and journals to pin them to their spec.
 std::string specFingerprint(const SpecDoc& doc);
-
-// Enum spellings shared with the CLI and emitters.
-std::string toString(TopologyDoc::Kind kind);
-std::string toString(WorkloadDoc::Kind kind);
-core::SchedulerKind schedulerFromString(const std::string& name);
-CheckMode checkModeFromString(const std::string& name);
-core::QueueDiscipline disciplineFromString(const std::string& name);
-std::string toString(core::QueueDiscipline discipline);
 
 }  // namespace ammb::runner

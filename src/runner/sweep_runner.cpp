@@ -9,39 +9,9 @@
 
 #include "check/golden.h"
 #include "check/oracles.h"
+#include "runner/field_table.h"
 
 namespace ammb::runner {
-
-namespace {
-
-using core::nearestRankPercentile;
-
-/// Worst-case fold of one run's realized bounds into the cell's:
-/// bound statistics take the max, sample counters the sum.
-void foldRealized(phys::RealizedBounds& into, const phys::RealizedBounds& from) {
-  into.fprogP50 = std::max(into.fprogP50, from.fprogP50);
-  into.fprogP95 = std::max(into.fprogP95, from.fprogP95);
-  into.fprogMax = std::max(into.fprogMax, from.fprogMax);
-  into.fackP50 = std::max(into.fackP50, from.fackP50);
-  into.fackP95 = std::max(into.fackP95, from.fackP95);
-  into.fackMax = std::max(into.fackMax, from.fackMax);
-  into.fittedFprog = std::max(into.fittedFprog, from.fittedFprog);
-  into.fittedFack = std::max(into.fittedFack, from.fittedFack);
-  into.ackSamples += from.ackSamples;
-  into.progSamples += from.progSamples;
-}
-
-void accumulateStats(mac::EngineStats& into, const mac::EngineStats& from) {
-  into.bcasts += from.bcasts;
-  into.rcvs += from.rcvs;
-  into.forcedRcvs += from.forcedRcvs;
-  into.acks += from.acks;
-  into.aborts += from.aborts;
-  into.delivers += from.delivers;
-  into.arrives += from.arrives;
-}
-
-}  // namespace
 
 namespace {
 
@@ -218,33 +188,18 @@ SweepResult aggregateRecords(const SweepSpec& spec,
   result.cells.resize(spec.cellCount());
 
   // Labels come from the spec, not the records, so even a cell whose
-  // runs all live in another shard stays self-describing.  Cells are
-  // numbered in the same (topology, scheduler, k, mac, workload,
-  // dynamics, reaction) lexicographic order as enumerateRuns().
-  std::size_t cellIndex = 0;
-  for (const TopologySpec& topology : spec.topologies) {
-    for (core::SchedulerKind scheduler : spec.schedulers) {
-      for (int k : spec.ks) {
-        for (const MacParamsSpec& mac : spec.macs) {
-          for (const WorkloadSpec& workload : spec.workloads) {
-            for (const DynamicsSpecNamed& dynamics : spec.dynamics) {
-              for (const core::ReactionSpec& reaction : spec.reactions) {
-                CellAggregate& cell = result.cells[cellIndex];
-                cell.cellIndex = cellIndex;
-                cell.topology = topology.name;
-                cell.scheduler = core::toString(scheduler);
-                cell.k = k;
-                cell.mac = mac.name;
-                cell.workload = workload.name;
-                cell.dynamics = dynamics.name;
-                cell.reaction = reaction.label();
-                ++cellIndex;
-              }
-            }
-          }
-        }
-      }
-    }
+  // runs all live in another shard stays self-describing.
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    const RunPoint p = runPointFor(spec, i * spec.seedsPerCell());
+    CellAggregate& cell = result.cells[i];
+    cell.cellIndex = i;
+    cell.topology = spec.topologies[p.topoIdx].name;
+    cell.scheduler = core::toString(spec.schedulers[p.schedIdx]);
+    cell.k = spec.ks[p.kIdx];
+    cell.mac = spec.macs[p.macIdx].name;
+    cell.workload = spec.workloads[p.wlIdx].name;
+    cell.dynamics = spec.dynamics[p.dynIdx].name;
+    cell.reaction = spec.reactions[p.reactIdx].label();
   }
 
   std::vector<std::vector<Time>> solveTimes(result.cells.size());
@@ -265,15 +220,7 @@ SweepResult aggregateRecords(const SweepSpec& spec,
                  "run " + std::to_string(record.point.runIndex) +
                      " appears twice in the aggregated records");
     seenRun[record.point.runIndex] = true;
-    AMMB_REQUIRE(record.point.cellIndex == expected.cellIndex &&
-                     record.point.topoIdx == expected.topoIdx &&
-                     record.point.schedIdx == expected.schedIdx &&
-                     record.point.kIdx == expected.kIdx &&
-                     record.point.macIdx == expected.macIdx &&
-                     record.point.wlIdx == expected.wlIdx &&
-                     record.point.dynIdx == expected.dynIdx &&
-                     record.point.reactIdx == expected.reactIdx &&
-                     record.point.seed == expected.seed,
+    AMMB_REQUIRE(record.point == expected,
                  "run record " + std::to_string(record.point.runIndex) +
                      " carries a grid coordinate inconsistent with this "
                      "spec — corrupt or mismatched shard/journal input");
@@ -289,9 +236,9 @@ SweepResult aggregateRecords(const SweepSpec& spec,
     }
     if (record.realized.measured()) {
       ++cell.measuredRuns;
-      foldRealized(cell.realized, record.realized);
+      foldFields(kRealizedFields, cell.realized, record.realized);
     }
-    accumulateStats(cell.stats, record.result.stats);
+    foldFields(kStatFields, cell.stats, record.result.stats);
     cell.retransmits += record.result.retransmits;
     endSums[cell.cellIndex] += record.result.endTime;
     ++endCounts[cell.cellIndex];
@@ -313,8 +260,8 @@ SweepResult aggregateRecords(const SweepSpec& spec,
       std::sort(times.begin(), times.end());
       cell.minSolve = times.front();
       cell.maxSolve = times.back();
-      cell.medianSolve = nearestRankPercentile(times, 50);
-      cell.p95Solve = nearestRankPercentile(times, 95);
+      cell.medianSolve = core::nearestRankPercentile(times, 50);
+      cell.p95Solve = core::nearestRankPercentile(times, 95);
       cell.meanSolve = static_cast<double>(solveSums[cell.cellIndex]) /
                        static_cast<double>(times.size());
     }
@@ -326,8 +273,8 @@ SweepResult aggregateRecords(const SweepSpec& spec,
     cell.messages = lats.size();
     if (!lats.empty()) {
       std::sort(lats.begin(), lats.end());
-      cell.p50Latency = nearestRankPercentile(lats, 50);
-      cell.p95Latency = nearestRankPercentile(lats, 95);
+      cell.p50Latency = core::nearestRankPercentile(lats, 50);
+      cell.p95Latency = core::nearestRankPercentile(lats, 95);
       cell.maxLatency = lats.back();
       cell.meanLatency = static_cast<double>(latencySums[cell.cellIndex]) /
                          static_cast<double>(lats.size());

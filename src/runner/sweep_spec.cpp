@@ -13,15 +13,6 @@ KernelTag KernelTag::fromLabel(const std::string& label) {
               "accepted");
 }
 
-std::string toString(CheckMode mode) {
-  switch (mode) {
-    case CheckMode::kOff: return "off";
-    case CheckMode::kMac: return "mac";
-    case CheckMode::kFull: return "full";
-  }
-  return "?";
-}
-
 void SweepSpec::validate() const {
   AMMB_REQUIRE(!topologies.empty(), "sweep needs at least one topology");
   AMMB_REQUIRE(!schedulers.empty(), "sweep needs at least one scheduler");
@@ -35,6 +26,9 @@ void SweepSpec::validate() const {
                "sweep needs at least one reaction point (use the default "
                "kNone entry)");
   AMMB_REQUIRE(seedBegin < seedEnd, "sweep needs a non-empty seed range");
+  // Run records store each seed as a JSON integer (int64).
+  AMMB_REQUIRE(seedEnd - 1 <= static_cast<std::uint64_t>(INT64_MAX),
+               "sweep seeds must be below 2^63");
   for (const DynamicsSpecNamed& d : dynamics) {
     AMMB_REQUIRE(!d.name.empty(), "dynamics spec needs a non-empty name");
   }

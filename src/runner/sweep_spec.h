@@ -94,9 +94,6 @@ enum class CheckMode : std::uint8_t {
   kFull,  ///< MAC + MMB + protocol oracles (check::checkExecution)
 };
 
-/// Emitter/debug label ("off", "mac", "full").
-std::string toString(CheckMode mode);
-
 /// One declarative sweep: the full cross product of the axes below,
 /// with `seedsPerCell()` repetitions of every cell.
 struct SweepSpec {
@@ -192,6 +189,14 @@ struct RunPoint {
   std::size_t dynIdx = 0;
   std::size_t reactIdx = 0;
   std::uint64_t seed = 0;
+
+  friend bool operator==(const RunPoint& a, const RunPoint& b) {
+    return a.runIndex == b.runIndex && a.cellIndex == b.cellIndex &&
+           a.topoIdx == b.topoIdx && a.schedIdx == b.schedIdx &&
+           a.kIdx == b.kIdx && a.macIdx == b.macIdx && a.wlIdx == b.wlIdx &&
+           a.dynIdx == b.dynIdx && a.reactIdx == b.reactIdx &&
+           a.seed == b.seed;
+  }
 };
 
 /// Every run of the grid, in deterministic order (runIndex == position).

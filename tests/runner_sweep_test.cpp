@@ -66,6 +66,15 @@ TEST(SweepSpec, ValidateRejectsIllFormedSpecs) {
   emptySeeds.seedEnd = emptySeeds.seedBegin;
   EXPECT_THROW(emptySeeds.validate(), Error);
 
+  // Records store seeds as JSON integers, so a seed needs 63 bits at most.
+  SweepSpec hugeSeeds = spec;
+  hugeSeeds.seedBegin = std::uint64_t{1} << 63;
+  hugeSeeds.seedEnd = hugeSeeds.seedBegin + 1;
+  EXPECT_THROW(hugeSeeds.validate(), Error);
+  hugeSeeds.seedBegin -= 1;
+  hugeSeeds.seedEnd -= 1;
+  EXPECT_NO_THROW(hugeSeeds.validate());
+
   SweepSpec badK = spec;
   badK.ks = {0};
   try {

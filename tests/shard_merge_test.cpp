@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -143,6 +144,47 @@ TEST(RecordIo, RoundTripsThroughJson) {
       runner::recordFromJson(runner::json::parse(legacyText));
   EXPECT_EQ(legacyBack.kernel, "parallel:4");
   EXPECT_EQ(runner::json::dump(runner::recordToJson(legacyBack)), legacyText);
+}
+
+TEST(RecordIo, RejectsNumbersOutsideTheirFieldsRange) {
+  // A counter of -1 must not wrap to 2^64 - 1, nor a message id of
+  // 2^32 + 1 to 1: the decoder rejects both, naming the key path.
+  RunRecord record;
+  record.result.retransmits = 1;
+  record.realized.ackSamples = 1;
+  record.result.messages.perMessage = {{0, 0, 5}};
+  const std::string line = runner::json::dump(runner::recordToJson(record));
+  const auto errorOf = [&](const std::string& from, const std::string& to) {
+    std::string text = line;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    try {
+      runner::parseShardJson(
+          R"({"sweep": "s", "spec_fingerprint": "0", "shard_index": 0,
+              "shard_count": 1, "run_count": 1, "runs": [)" +
+          text + "]}");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "accepted " << to;
+    return std::string();
+  };
+  for (const auto& [from, to, message] :
+       std::vector<std::array<std::string, 3>>{
+           {"\"bcasts\":0", "\"bcasts\":-1",
+            "runs[0].stats.bcasts must be non-negative"},
+           {"\"arrived\":0", "\"arrived\":-2",
+            "runs[0].messages.arrived must be non-negative"},
+           {"\"ack_samples\":1", "\"ack_samples\":-1",
+            "runs[0].realized.ack_samples must be non-negative"},
+           {"\"retransmits\":1", "\"retransmits\":-1",
+            "runs[0].retransmits must be non-negative"},
+           {"\"seed\":0", "\"seed\":-3", "runs[0].seed must be non-negative"},
+           {"[[0,0,5]]", "[[4294967297,0,5]]",
+            "runs[0].messages.per_message[0][0] out of 32-bit range"}}) {
+    EXPECT_NE(errorOf(from, to).find(message), std::string::npos) << message;
+  }
 }
 
 /// Executes `shard` of the grid and serializes it the way

@@ -5,11 +5,13 @@
 // `ammb_sweep compare`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "runner/axis_codec.h"
 #include "runner/compare.h"
 #include "runner/emit.h"
+#include "runner/field_table.h"
 #include "runner/spec_io.h"
 
 namespace ammb {
@@ -142,9 +144,77 @@ TEST(SpecIo, RejectsUnknownAndMalformedFields) {
     "macs": [{}], "workloads": [{"kind": "random"}],
     "seed_begin": 1, "seed_end": 2})"),
                Error);
-  EXPECT_THROW(runner::schedulerFromString("bogus"), Error);
-  EXPECT_THROW(runner::checkModeFromString("bogus"), Error);
-  EXPECT_THROW(runner::disciplineFromString("bogus"), Error);
+  EXPECT_THROW(runner::enumFromName<core::SchedulerKind>("bogus"), Error);
+  EXPECT_THROW(runner::enumFromName<runner::CheckMode>("bogus"), Error);
+  EXPECT_THROW(runner::enumFromName<core::QueueDiscipline>("bogus"), Error);
+}
+
+TEST(SpecIo, UnknownNamesListEveryExpectedSpelling) {
+  // The "(expected ...)" lists come from the name tables: two names are
+  // joined by " or ", more by ", ".
+  using Members = std::vector<std::pair<std::string, std::string>>;
+  const auto errorOf = [](const Members& overrides) {
+    Members members = {{"name", R"("x")"},
+                       {"protocol", R"("bmmb")"},
+                       {"topologies", R"([{"kind": "line", "n": 8}])"},
+                       {"schedulers", R"(["fast"])"},
+                       {"ks", "[1]"},
+                       {"macs", "[{}]"},
+                       {"workloads", R"([{"kind": "round-robin"}])"},
+                       {"seed_begin", "1"},
+                       {"seed_end", "2"}};
+    std::string text = "{";
+    for (const auto& [key, value] : overrides) {
+      const auto same = [&](const auto& m) { return m.first == key; };
+      const auto it = std::find_if(members.begin(), members.end(), same);
+      if (it != members.end()) it->second = value;
+      else members.emplace_back(key, value);
+    }
+    for (const auto& [key, value] : members) {
+      text += (text.size() > 1 ? ", \"" : "\"") + key + "\": " + value;
+    }
+    try {
+      runner::parseSpec(text + "}");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "expected a parse error for " << text;
+    return std::string();
+  };
+  for (const auto& [overrides, message] :
+       std::vector<std::pair<Members, std::string>>{
+           {{{"protocol", R"("smtp")"}},
+            "spec.protocol: unknown protocol \"smtp\" (expected bmmb or "
+            "fmmb)"},
+           {{{"topologies", R"([{"kind": "torus"}])"}},
+            "unknown topology kind \"torus\" (expected line, line-r, "
+            "line-arb, grey-field, network-c)"},
+           {{{"workloads", R"([{"kind": "trickle"}])"}},
+            "unknown workload kind \"trickle\" (expected all-at-node, "
+            "round-robin, spread, random, online, poisson, bursty, "
+            "staggered)"},
+           {{{"dynamics", R"([{"kind": "melt"}])"}},
+            "unknown dynamics kind \"melt\" (expected static, crash, "
+            "grey-drift)"},
+           {{{"macs", R"([{"variant": "quantum"}])"}},
+            "unknown MAC variant \"quantum\" (expected standard or "
+            "enhanced)"},
+           {{{"check", R"("some")"}},
+            "unknown check mode \"some\" (expected off, mac, full)"},
+           {{{"discipline", R"("stack")"}},
+            "unknown queue discipline \"stack\" (expected fifo, lifo, "
+            "random)"},
+           {{{"schedulers", R"(["bogus"])"}},
+            "unknown scheduler \"bogus\" (expected fast, random, slow-ack, "
+            "adversarial, adversarial+stuff, lower-bound)"},
+           {{{"protocol", R"("fmmb")"},
+             {"macs", R"([{"variant": "enhanced"}])"},
+             {"fmmb", R"({"mode": "eager"})"}},
+            "unknown fmmb mode \"eager\" (expected interleaved or "
+            "sequential)"}}) {
+    const std::string error = errorOf(overrides);
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
 }
 
 TEST(SpecIo, RejectsOutOfRangeAxisParametersEagerly) {
