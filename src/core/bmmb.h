@@ -24,11 +24,11 @@
 // flood resumes exactly where the outage cut it (see core/reaction.h).
 #pragma once
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
+#include "core/msg_set.h"
 #include "core/reaction.h"
 #include "mac/engine.h"
 #include "mac/oracle.h"
@@ -57,14 +57,11 @@ class BmmbProcess : public mac::Process {
                      const mac::EpochChange& change) override;
 
   /// Messages this node has received (the paper's `rcvd` set).
-  const std::unordered_set<MsgId>& received() const { return rcvd_; }
-
-  /// Messages queued but not yet acknowledged (the paper's `bcastq`).
-  const std::deque<MsgId>& queue() const { return queue_; }
+  const MsgSet& received() const { return rcvd_; }
 
   /// Messages this node has broadcast and received an ack for (the
   /// `sent` set of Theorem 3.1's analysis).
-  const std::unordered_set<MsgId>& sent() const { return sent_; }
+  const MsgSet& sent() const { return sent_; }
 
   /// Recovery re-enqueues this node performed (0 under kNone).
   std::uint64_t retransmits() const { return retransmits_; }
@@ -73,14 +70,21 @@ class BmmbProcess : public mac::Process {
   void get(mac::Context& ctx, MsgId msg);
   void maybeSend(mac::Context& ctx);
 
+  /// The queue, oldest first: queue_[head_] is its front.  Popped
+  /// entries stay below head_ until the queue drains (a node enqueues
+  /// each message at most once per retry, so the prefix is bounded).
+  bool queueEmpty() const { return head_ == queue_.size(); }
+  void popFront();
+
   QueueDiscipline discipline_;
   ReactionSpec reaction_;
-  std::deque<MsgId> queue_;
-  std::unordered_set<MsgId> rcvd_;
-  std::unordered_set<MsgId> sent_;
-  /// Remaining recovery re-enqueues per message (lazily seeded from
-  /// reaction_.retryBudget on first re-arm).
-  std::unordered_map<MsgId, int> retriesLeft_;
+  std::vector<MsgId> queue_;  ///< the paper's `bcastq`, from head_ on
+  std::size_t head_ = 0;
+  MsgSet rcvd_;
+  MsgSet sent_;
+  /// Remaining recovery re-enqueues per message, sorted by id (lazily
+  /// seeded from reaction_.retryBudget on first re-arm).
+  std::vector<std::pair<MsgId, int>> retriesLeft_;
   std::uint64_t retransmits_ = 0;
 };
 
@@ -106,9 +110,11 @@ class BmmbSuite : public mac::ProtocolOracle {
   bool uselessFor(NodeId node, const mac::Packet& packet) const override;
 
  private:
+  const BmmbProcess* processOrNull(NodeId node) const;
+
   QueueDiscipline discipline_;
   ReactionSpec reaction_;
-  std::unordered_map<NodeId, const BmmbProcess*> byNode_;
+  std::vector<const BmmbProcess*> byNode_;  ///< indexed by node
 };
 
 }  // namespace ammb::core

@@ -84,19 +84,15 @@ MacEngine::MacEngine(const graph::TopologyView& view, MacParams params,
       params_(params),
       scheduler_(std::move(scheduler)),
       guard_(*this, view_->n()),
+      seed_(seed),
       schedulerRng_(SeedSequence(seed).childSeed(rngstream::kScheduler, 0)) {
   params_.validate();
   AMMB_REQUIRE(scheduler_ != nullptr, "a scheduler is required");
   AMMB_REQUIRE(factory != nullptr, "a process factory is required");
 
-  const SeedSequence seeds(seed);
   nodes_.reserve(static_cast<std::size_t>(n()));
   for (NodeId v = 0; v < n(); ++v) {
-    NodeState ns{factory(v),
-                 seeds.childRng(rngstream::kNode,
-                                static_cast<std::uint64_t>(v)),
-                 kNoInstance,
-                 {}};
+    NodeState ns{factory(v), nullptr, kNoInstance, {}};
     AMMB_REQUIRE(ns.process != nullptr, "process factory returned null");
     nodes_.push_back(std::move(ns));
   }
@@ -163,10 +159,39 @@ sim::RunStatus MacEngine::runUntil(Time timeLimit, std::uint64_t maxEvents) {
   return queue_.run(timeLimit, maxEvents);
 }
 
-const Instance& MacEngine::instance(InstanceId id) const {
-  AMMB_REQUIRE(id >= 0 && id < static_cast<InstanceId>(instances_.size()),
+const InstanceRecord& MacEngine::instance(InstanceId id) const {
+  AMMB_REQUIRE(id >= 0 && id < static_cast<InstanceId>(records_.size()),
                "unknown instance id");
-  return instances_[static_cast<std::size_t>(id)];
+  return records_[static_cast<std::size_t>(id)];
+}
+
+bool MacEngine::isTombstone(InstanceId id) const {
+  instance(id);  // range check
+  return slots_[static_cast<std::size_t>(id)] == kNoSlot;
+}
+
+const Instance& MacEngine::body(InstanceId id) const {
+  AMMB_REQUIRE(!isTombstone(id),
+               "instance " + std::to_string(id) +
+                   " is a tombstone: only its record remains");
+  return pool_[static_cast<std::size_t>(slots_[static_cast<std::size_t>(id)])];
+}
+
+Instance& MacEngine::bodyOf(InstanceId id) {
+  const std::int32_t slot = slots_[static_cast<std::size_t>(id)];
+  AMMB_ASSERT(slot != kNoSlot);
+  return pool_[static_cast<std::size_t>(slot)];
+}
+
+void MacEngine::retireIfDone(InstanceId id) {
+  const std::size_t i = static_cast<std::size_t>(id);
+  const std::int32_t slot = slots_[i];
+  if (slot == kNoSlot) return;
+  Instance& inst = pool_[static_cast<std::size_t>(slot)];
+  if (!inst.terminated || !inst.pending.empty()) return;
+  inst.clear();
+  slots_[i] = kNoSlot;
+  freeSlots_.push_back(slot);
 }
 
 const std::vector<InstanceId>& MacEngine::liveInstancesNear(
@@ -186,9 +211,18 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
                "packet exceeds the per-broadcast message capacity");
   packet.sender = node;
 
-  const InstanceId id = static_cast<InstanceId>(instances_.size());
-  instances_.push_back(Instance{});
-  Instance& inst = instances_.back();
+  const InstanceId id = static_cast<InstanceId>(records_.size());
+  records_.push_back(InstanceRecord{node, now(), kTimeNever, false});
+  std::int32_t slot;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::int32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  }
+  slots_.push_back(slot);
+  Instance& inst = pool_[static_cast<std::size_t>(slot)];
   inst.id = id;
   inst.sender = node;
   inst.packet = std::move(packet);
@@ -262,21 +296,32 @@ void MacEngine::apiAbort(NodeId node) {
   NodeState& ns = state(node);
   AMMB_REQUIRE(ns.current != kNoInstance,
                "abort requires a broadcast in progress");
-  Instance& inst = instances_[static_cast<std::size_t>(ns.current)];
+  const InstanceId id = ns.current;
+  Instance& inst = bodyOf(id);
 
   inst.terminated = true;
   inst.aborted = true;
   inst.termAt = now();
-  trace_.add({now(), sim::TraceKind::kAbort, node, inst.id, kNoMsg});
+  InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
+  rec.termAt = inst.termAt;
+  rec.aborted = true;
+  trace_.add({now(), sim::TraceKind::kAbort, node, id, kNoMsg});
   ++stats_.aborts;
 
   queue_.cancel(inst.ackEvent);
-  // Pending receives may still fire within epsAbort of the abort.
+  // Pending receives may still fire within epsAbort of the abort (the
+  // grace deliveries); the later ones are dropped here.
   const Time cutoff = now() + params_.epsAbort;
-  for (const Instance::PendingDelivery& pd : inst.pending) {
-    if (pd.at > cutoff) queue_.cancel(pd.handle);
-  }
+  std::vector<Instance::PendingDelivery>& pending = inst.pending;
+  pending.erase(std::remove_if(pending.begin(), pending.end(),
+                               [this, cutoff](const auto& pd) {
+                                 if (pd.at <= cutoff) return false;
+                                 queue_.cancel(pd.handle);
+                                 return true;
+                               }),
+                pending.end());
   finishInstance(inst);
+  retireIfDone(id);
 }
 
 void MacEngine::requireEnhanced(const char* api) const {
@@ -286,7 +331,14 @@ void MacEngine::requireEnhanced(const char* api) const {
                    "model");
 }
 
-Rng& MacEngine::nodeRng(NodeId node) { return state(node).rng; }
+Rng& MacEngine::nodeRng(NodeId node) {
+  NodeState& ns = state(node);
+  if (ns.rng == nullptr) {
+    ns.rng = std::make_unique<Rng>(SeedSequence(seed_).childSeed(
+        rngstream::kNode, static_cast<std::uint64_t>(node)));
+  }
+  return *ns.rng;
+}
 
 // --- internal machinery -----------------------------------------------------
 
@@ -345,7 +397,7 @@ void MacEngine::validatePlan(const Instance& instance,
 }
 
 void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
-  Instance& inst = instances_[static_cast<std::size_t>(id)];
+  Instance& inst = bodyOf(id);
   AMMB_ASSERT(!inst.hasDeliveredTo(receiver));
 
   // Drop the planned event if the guard preempted it.
@@ -373,27 +425,31 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
 }
 
 void MacEngine::onDeliveryEvent(InstanceId id, NodeId receiver) {
-  Instance& inst = instances_[static_cast<std::size_t>(id)];
+  Instance& inst = bodyOf(id);
   inst.removePending(receiver);
-  if (inst.hasDeliveredTo(receiver)) return;  // guard got there first
-  if (inst.terminated && now() > inst.termAt + params_.epsAbort) return;
-  performDelivery(id, receiver, /*forced=*/false);
+  if (!inst.hasDeliveredTo(receiver) &&  // else the guard got there first
+      !(inst.terminated && now() > inst.termAt + params_.epsAbort)) {
+    performDelivery(id, receiver, /*forced=*/false);
+  }
+  retireIfDone(id);
 }
 
 void MacEngine::onAckEvent(InstanceId id) {
-  Instance& inst = instances_[static_cast<std::size_t>(id)];
+  Instance& inst = bodyOf(id);
   if (inst.terminated) return;  // aborted; event race
   // With validation off an (intentionally broken) plan may ack while
   // G-deliveries are still missing; the offline checker flags it.
   AMMB_ASSERT(inst.pendingGDeliveries == 0 || !validatePlans_);
   inst.terminated = true;
   inst.termAt = now();
+  records_[static_cast<std::size_t>(id)].termAt = inst.termAt;
   trace_.add({now(), sim::TraceKind::kAck, inst.sender, id, kNoMsg});
   ++stats_.acks;
   finishInstance(inst);
 
   Context ctx(*this, inst.sender);
   state(inst.sender).process->onAck(ctx, inst.packet);
+  retireIfDone(id);
 }
 
 void MacEngine::finishInstance(Instance& inst) {
@@ -429,13 +485,21 @@ void MacEngine::onEpochBoundary(int e) {
   trace_.add({now(), sim::TraceKind::kEpoch, kNoNode, kNoInstance,
               static_cast<MsgId>(e)});
 
-  // Reconcile every in-flight instance with the new topology.  A
-  // vanished E'-link voids its scheduled delivery; a vanished E-link
-  // (or a crashed endpoint — crashed nodes have empty adjacency) also
-  // voids the acknowledgment guarantee for that receiver.  The ack
-  // itself always fires as planned: a crashed sender simply stops
-  // delivering (its radio is down), it does not lose its automaton.
-  for (Instance& inst : instances_) {
+  // Reconcile every in-flight (live or grace) instance with the new
+  // topology, in id order.  A vanished E'-link voids its scheduled
+  // delivery; a vanished E-link (or a crashed endpoint — crashed nodes
+  // have empty adjacency) also voids the acknowledgment guarantee for
+  // that receiver.  The ack itself always fires as planned: a crashed
+  // sender simply stops delivering (its radio is down), it does not
+  // lose its automaton.  Tombstones hold nothing to reconcile.
+  std::vector<InstanceId> inFlight;
+  inFlight.reserve(pool_.size() - freeSlots_.size());
+  for (const Instance& inst : pool_) {
+    if (inst.id != kNoInstance) inFlight.push_back(inst.id);
+  }
+  std::sort(inFlight.begin(), inFlight.end());
+  for (InstanceId id : inFlight) {
+    Instance& inst = bodyOf(id);
     const NodeId s = inst.sender;
     // Scrub vanished-link deliveries even for aborted instances: their
     // epsAbort grace window may still hold scheduled events.  The scan
@@ -458,15 +522,19 @@ void MacEngine::onEpochBoundary(int e) {
 
   // Rebuild the live-instance lists from the new E' neighborhoods: a
   // live instance contends exactly at its sender's current neighbors.
+  // Then retire the grace instances whose last pending delivery the
+  // scrub just dropped.
   for (NodeState& ns : nodes_) {
     ns.liveNear.clear();
   }
-  for (const Instance& inst : instances_) {
+  for (InstanceId id : inFlight) {
+    const Instance& inst = bodyOf(id);
     if (inst.terminated) continue;
     for (NodeId j : csr_->pNeighbors(inst.sender)) {
-      state(j).addLive(inst.id);
+      state(j).addLive(id);
     }
   }
+  for (InstanceId id : inFlight) retireIfDone(id);
 
   // Need sets may have shrunk (links gone) or gained a later live-since
   // clip (links appeared); re-arm the affected receivers' deadlines.
@@ -521,7 +589,7 @@ void MacEngine::onEpochBoundary(int e) {
 void MacEngine::forceProgressDelivery(NodeId receiver) {
   std::vector<InstanceId> candidates;
   for (InstanceId id : state(receiver).liveNear) {
-    const Instance& inst = instances_[static_cast<std::size_t>(id)];
+    const Instance& inst = bodyOf(id);
     if (!inst.terminated && !inst.hasDeliveredTo(receiver)) {
       candidates.push_back(id);
     }

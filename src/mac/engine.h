@@ -17,6 +17,7 @@
 // seed), executions are bit-for-bit reproducible.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -117,9 +118,22 @@ class MacEngine : public MacLayer {
     return view_->gEdgeLiveSince(epoch_, u, v);
   }
 
-  /// All instances ever created, indexed by InstanceId.
-  const std::vector<Instance>& instances() const { return instances_; }
-  const Instance& instance(InstanceId id) const;
+  /// The record of every instance ever created, indexed by
+  /// InstanceId (size() is the total instance count).
+  const std::vector<InstanceRecord>& instances() const { return records_; }
+  const InstanceRecord& instance(InstanceId id) const;
+
+  /// The body of a live or grace instance (see mac/instance.h); an
+  /// error once the instance is a tombstone.
+  const Instance& body(InstanceId id) const;
+
+  /// True once `id` has terminated, its callback returned and no
+  /// delivery of it is pending: its body is back in the pool.
+  bool isTombstone(InstanceId id) const;
+
+  /// Most bodies ever held at once (the pool's size): bounded by the
+  /// peak number of live + grace instances, not by the total count.
+  std::size_t bodyPoolHighWater() const { return pool_.size(); }
 
   /// RNG stream reserved for the scheduler.
   Rng& schedulerRng() { return schedulerRng_; }
@@ -133,7 +147,8 @@ class MacEngine : public MacLayer {
 
   struct NodeState {
     std::unique_ptr<Process> process;
-    Rng rng;
+    /// Built by the first nodeRng() call: most protocols never draw.
+    std::unique_ptr<Rng> rng;
     InstanceId current = kNoInstance;  ///< outstanding bcast, if any
     std::vector<InstanceId> liveNear;  ///< live instances from E' nbrs
 
@@ -172,6 +187,8 @@ class MacEngine : public MacLayer {
   void onDeliveryEvent(InstanceId id, NodeId receiver);
   void onAckEvent(InstanceId id);
   void finishInstance(Instance& instance);
+  Instance& bodyOf(InstanceId id);
+  void retireIfDone(InstanceId id);
   void forceProgressDelivery(NodeId receiver);
   void onEpochBoundary(int e);
 
@@ -187,8 +204,17 @@ class MacEngine : public MacLayer {
   std::unique_ptr<Scheduler> scheduler_;
   sim::EventQueue queue_;
   std::vector<NodeState> nodes_;
-  std::vector<Instance> instances_;
+  /// One record per instance id; `slots_[id]` is its body's pool slot,
+  /// or kNoSlot once it is a tombstone.
+  static constexpr std::int32_t kNoSlot = -1;
+  std::vector<InstanceRecord> records_;
+  std::vector<std::int32_t> slots_;
+  /// Body storage: a deque never moves its elements, so references
+  /// into it survive growth.  freeSlots_ lists the empty ones.
+  std::deque<Instance> pool_;
+  std::vector<std::int32_t> freeSlots_;
   ProgressGuard guard_;
+  std::uint64_t seed_;
   Rng schedulerRng_;
   bool validatePlans_ = true;
   bool epochNotifications_ = true;

@@ -2,15 +2,34 @@
 //
 // A message instance (Section 3.2.1) is one bcast event plus every rcv
 // and the terminating ack/abort the cause function maps back to it.
-// The engine materializes instances as the records below; schedulers
-// receive a const view when planning.
+// The engine keeps two things per instance:
 //
-// All bookkeeping is flat vectors: per-broadcast hash containers
-// (delivered-set, pending-index) used to dominate allocation in
-// delivery-heavy runs (one rehashing table per bcast), and neighborhood
-// fan-outs are small enough that a linear scan / binary search beats a
-// hash probe anyway.  Capacities are reserved from the sender's degree
-// at bcast time, so steady state performs no per-delivery allocation.
+//   * an InstanceRecord {sender, bcastAt, termAt, aborted}, one per
+//     id for the whole run — what post-run readers (tests, examples,
+//     the instance count) need;
+//   * an Instance body — packet, delivery bookkeeping, pending events —
+//     only while something can still read it.
+//
+// An instance passes through three stages:
+//
+//   live       bcast .. ack/abort.  Schedulers plan from it, the
+//              progress guard scans it, deliveries mark it.
+//   grace      terminated, but `pending` still holds deliveries that
+//              may fire (an abort keeps the ones within epsAbort; it
+//              drops the later ones on the spot), or the ack/abort
+//              callback has not returned yet.
+//   tombstone  terminated, callback returned, `pending` empty.  The
+//              body goes back to the engine's slot pool and only the
+//              record remains.
+//
+// So the engine holds O(live + grace) bodies, not O(total instances).
+// Bodies sit in a pool of stable slots: the Packet& handed to
+// onReceive/onAck stays valid across a re-entrant bcast.  A reused
+// slot keeps its vectors' capacity, so steady state performs no
+// per-delivery allocation.
+//
+// Body bookkeeping is flat vectors: neighborhood fan-outs are small
+// enough that a linear scan / binary search beats a hash probe.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +43,17 @@
 
 namespace ammb::mac {
 
-/// One acknowledged-local-broadcast instance and its bookkeeping.
+/// What the engine keeps of every instance for the whole run.
+struct InstanceRecord {
+  NodeId sender = kNoNode;
+  Time bcastAt = 0;
+  /// Termination (ack or abort) time; kTimeNever while live.
+  Time termAt = kTimeNever;
+  bool aborted = false;
+};
+
+/// The body of one acknowledged-local-broadcast instance (live or
+/// grace; see above).
 struct Instance {
   InstanceId id = kNoInstance;
   NodeId sender = kNoNode;
@@ -130,6 +159,25 @@ struct Instance {
 
   /// Current best knowledge of when the instance terminates.
   Time plannedTermination() const { return terminated ? termAt : plannedAck; }
+
+  /// Empties the body (a free pool slot), keeping the vectors'
+  /// capacity for the next instance the slot hosts.
+  void clear() {
+    id = kNoInstance;
+    sender = kNoNode;
+    packet = Packet{};
+    bcastAt = 0;
+    plannedAck = 0;
+    termAt = kTimeNever;
+    terminated = false;
+    aborted = false;
+    deliveredTo.clear();
+    pending.clear();
+    pendingGDeliveries = 0;
+    requiredG.clear();
+    ackEvent = 0;
+    deliveredSorted_.clear();
+  }
 
  private:
   /// deliveredTo, kept sorted for O(log) membership.

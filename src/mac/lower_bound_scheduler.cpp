@@ -81,13 +81,13 @@ InstanceId LowerBoundScheduler::pickProgressDelivery(
   // opposite line's message, which never advances the receiver's own
   // broadcast problem.
   for (InstanceId id : candidates) {
-    const Instance& inst = engine_->instance(id);
+    const Instance& inst = engine_->body(id);
     if (isANode(inst.sender) != isANode(receiver)) return id;
   }
   const ProtocolOracle* oracle = engine_->oracle();
   if (oracle != nullptr) {
     for (InstanceId id : candidates) {
-      if (oracle->uselessFor(receiver, engine_->instance(id).packet)) {
+      if (oracle->uselessFor(receiver, engine_->body(id).packet)) {
         return id;
       }
     }

@@ -11,8 +11,9 @@ ProgressGuard::ProgressGuard(MacEngine& engine, NodeId n)
 
 void ProgressGuard::onReceive(NodeId receiver, InstanceId instance) {
   State& st = states_[static_cast<std::size_t>(receiver)];
-  const Instance& inst = engine_.instances_[static_cast<std::size_t>(instance)];
-  if (!inst.terminated) {
+  const InstanceRecord& inst =
+      engine_.records_[static_cast<std::size_t>(instance)];
+  if (inst.termAt == kTimeNever) {
     // The new cover is [now - fprog, +inf) while `instance` is live,
     // which contains every window start the guard can still see: the
     // receiver is covered, stand down.
@@ -49,7 +50,7 @@ Time ProgressGuard::earliestUncovered(NodeId receiver) const {
   // span).
   Time earliest = kTimeNever;
   for (InstanceId id : engine_.liveInstancesNear(receiver)) {
-    const Instance& inst = engine_.instances_[static_cast<std::size_t>(id)];
+    const Instance& inst = engine_.bodyOf(id);
     if (inst.terminated) continue;
     const Time hi = inst.plannedAck - fprog - 1;
     if (hi < from) continue;

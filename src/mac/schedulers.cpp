@@ -119,7 +119,7 @@ InstanceId AdversarialScheduler::pickProgressDelivery(
   InstanceId bestUseless = kNoInstance;
   InstanceId bestCross = kNoInstance;
   for (InstanceId id : candidates) {
-    const Instance& inst = engine_->instance(id);
+    const Instance& inst = engine_->body(id);
     if (oracle != nullptr && bestUseless == kNoInstance &&
         oracle->uselessFor(receiver, inst.packet)) {
       bestUseless = id;

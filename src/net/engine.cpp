@@ -43,12 +43,10 @@ NetEngine::NetEngine(const graph::TopologyView& view, mac::MacParams params,
   AMMB_REQUIRE(factory != nullptr, "the net backend needs a process factory");
   const NodeId nn = view.n();
   AMMB_REQUIRE(nn >= 1, "the net backend needs at least one node");
-  SeedSequence seeds(config_.seed);
   nodes_.resize(static_cast<std::size_t>(nn));
   for (NodeId v = 0; v < nn; ++v) {
     NodeState& ns = nodes_[static_cast<std::size_t>(v)];
     ns.process = factory(v);
-    ns.rng = seeds.childRng(rngstream::kNode, static_cast<std::uint64_t>(v));
     ns.seenFrom.resize(static_cast<std::size_t>(nn));
   }
 }
@@ -568,7 +566,12 @@ void NetEngine::requireEnhanced(const char* api) const {
 
 Rng& NetEngine::nodeRng(NodeId node) {
   checkNode(node);
-  return nodes_[static_cast<std::size_t>(node)].rng;
+  NodeState& ns = nodes_[static_cast<std::size_t>(node)];
+  if (ns.rng == nullptr) {
+    ns.rng = std::make_unique<Rng>(SeedSequence(config_.seed).childSeed(
+        rngstream::kNode, static_cast<std::uint64_t>(node)));
+  }
+  return *ns.rng;
 }
 
 // --- run plumbing -----------------------------------------------------------

@@ -133,7 +133,8 @@ class NetEngine final : public mac::MacLayer {
 
   struct NodeState {
     std::unique_ptr<mac::Process> process;
-    Rng rng{0};
+    /// Built by the first nodeRng() call: most protocols never draw.
+    std::unique_ptr<Rng> rng;
     InstanceId current = kNoInstance;
     int fd = -1;
     std::uint16_t port = 0;

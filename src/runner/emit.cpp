@@ -1,8 +1,12 @@
 #include "runner/emit.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/field_table.h"
 
@@ -129,14 +133,16 @@ constexpr Field<RunDocHeader> kHeaderFields[] = {
 
 /// The result document's header.  Realization and backend are written
 /// only for realized and net-backend sweeps, so every abstract/sim
-/// baseline stays byte-identical.
+/// baseline stays byte-identical.  Each row is also a column of every
+/// line of the cells CSV, at its csvAt() position (shared with
+/// kCellFields below; the CSV keeps its historic column order).
 constexpr Field<SweepResult> kResultFields[] = {
-    field<&SweepResult::name>("sweep"),
-    field<&SweepResult::protocol>("protocol"),
-    field<&SweepResult::realization>("realization", kOmitDefault),
-    field<&SweepResult::backend>("backend", kOmitDefault),
-    field<&SweepResult::seedBegin>("seed_begin"),
-    field<&SweepResult::seedEnd>("seed_end"),
+    field<&SweepResult::name>("sweep").csvAt(1),
+    field<&SweepResult::protocol>("protocol").csvAt(2),
+    field<&SweepResult::realization>("realization", kOmitDefault).csvAt(30),
+    field<&SweepResult::backend>("backend", kOmitDefault).csvAt(32),
+    field<&SweepResult::seedBegin>("seed_begin").csvAt(10),
+    field<&SweepResult::seedEnd>("seed_end").csvAt(11),
 };
 
 bool reactionFree(const CellAggregate& c) {
@@ -147,35 +153,38 @@ bool unmeasured(const CellAggregate& c) { return c.measuredRuns == 0; }
 /// One cell of the result document.  The reaction (and its work
 /// counter) is written only for reactive cells, and the realized bounds
 /// only for measured ones, so pre-existing baselines stay byte-identical.
+/// The csvAt() positions place each row in the cells CSV, where the
+/// `stats` block expands to the engine counters and `measured_runs`
+/// heads the realized-bound columns (see cellsCsv()).
 constexpr Field<CellAggregate> kCellFields[] = {
-    field<&CellAggregate::topology>("topology"),
-    field<&CellAggregate::scheduler>("scheduler"),
-    field<&CellAggregate::k>("k"),
-    field<&CellAggregate::mac>("mac"),
-    field<&CellAggregate::workload>("workload"),
-    field<&CellAggregate::dynamics>("dynamics"),
-    field<&CellAggregate::reaction>("reaction", reactionFree),
-    field<&CellAggregate::retransmits>("retransmits", reactionFree),
-    field<&CellAggregate::runs>("runs"),
-    field<&CellAggregate::solved>("solved"),
-    field<&CellAggregate::errors>("errors"),
-    field<&CellAggregate::minSolve>("min_solve"),
-    field<&CellAggregate::medianSolve>("median_solve"),
-    field<&CellAggregate::meanSolve>("mean_solve"),
-    field<&CellAggregate::p95Solve>("p95_solve"),
-    field<&CellAggregate::maxSolve>("max_solve"),
-    field<&CellAggregate::meanEndTime>("mean_end_time"),
-    field<&CellAggregate::messages>("messages"),
-    field<&CellAggregate::meanLatency>("mean_latency"),
-    field<&CellAggregate::p50Latency>("p50_latency"),
-    field<&CellAggregate::p95Latency>("p95_latency"),
-    field<&CellAggregate::maxLatency>("max_latency"),
-    field<&CellAggregate::checkedRuns>("checked_runs"),
-    field<&CellAggregate::checkViolations>("check_violations"),
-    field<&CellAggregate::measuredRuns>("measured_runs", unmeasured),
+    field<&CellAggregate::topology>("topology").csvAt(4),
+    field<&CellAggregate::scheduler>("scheduler").csvAt(5),
+    field<&CellAggregate::k>("k").csvAt(6),
+    field<&CellAggregate::mac>("mac").csvAt(7),
+    field<&CellAggregate::workload>("workload").csvAt(3),
+    field<&CellAggregate::dynamics>("dynamics").csvAt(8),
+    field<&CellAggregate::reaction>("reaction", reactionFree).csvAt(9),
+    field<&CellAggregate::retransmits>("retransmits", reactionFree).csvAt(27),
+    field<&CellAggregate::runs>("runs").csvAt(12),
+    field<&CellAggregate::solved>("solved").csvAt(13),
+    field<&CellAggregate::errors>("errors").csvAt(14),
+    field<&CellAggregate::minSolve>("min_solve").csvAt(15),
+    field<&CellAggregate::medianSolve>("median_solve").csvAt(16),
+    field<&CellAggregate::meanSolve>("mean_solve").csvAt(17),
+    field<&CellAggregate::p95Solve>("p95_solve").csvAt(18),
+    field<&CellAggregate::maxSolve>("max_solve").csvAt(19),
+    field<&CellAggregate::meanEndTime>("mean_end_time").csvAt(20),
+    field<&CellAggregate::messages>("messages").csvAt(21),
+    field<&CellAggregate::meanLatency>("mean_latency").csvAt(22),
+    field<&CellAggregate::p50Latency>("p50_latency").csvAt(23),
+    field<&CellAggregate::p95Latency>("p95_latency").csvAt(24),
+    field<&CellAggregate::maxLatency>("max_latency").csvAt(25),
+    field<&CellAggregate::checkedRuns>("checked_runs").csvAt(28),
+    field<&CellAggregate::checkViolations>("check_violations").csvAt(29),
+    field<&CellAggregate::measuredRuns>("measured_runs", unmeasured).csvAt(31),
     fieldAs<Nested<kRealizedFields>, &CellAggregate::realized>("realized",
                                                                unmeasured),
-    fieldAs<Nested<kStatFields>, &CellAggregate::stats>("stats"),
+    fieldAs<Nested<kStatFields>, &CellAggregate::stats>("stats").csvAt(26),
 };
 
 /// Fixed-precision decimal for CSV/JSON doubles; identical input bits
@@ -233,10 +242,10 @@ void writeMembers(const json::Object& members, std::ostream& out) {
 }
 
 // --- CSV tables -------------------------------------------------------------
-// Each CSV is its own column table: the columns keep their historic
-// order (the cells CSV leads with the workload), the runs CSV writes the
-// solve time only for solved runs and the trace hash in decimal and only
-// for checked runs, and both flatten the counter and bound blocks.
+// The cells CSV is laid out by the csvAt() positions of the result and
+// cell rows above.  The runs CSV is its own column table: it writes the
+// solve time only for solved runs and the trace hash in decimal and
+// only for checked runs.  Both flatten the counter and bound blocks.
 
 /// What one CSV line describes: a cell, or (runs CSV) one of its runs.
 struct CsvRow {
@@ -254,12 +263,18 @@ struct Column {
   const char* header;
   json::Value (*value)(const CsvRow&);
   Block block = kOne;
+  /// Cells-CSV columns read their kResultFields / kCellFields row
+  /// instead of `value`.
+  const Field<SweepResult>* resultField = nullptr;
+  const Field<CellAggregate>* cellField = nullptr;
+
+  json::Value at(const CsvRow& row) const {
+    if (resultField != nullptr) return resultField->get(row.result);
+    if (cellField != nullptr) return cellField->get(row.cell);
+    return value(row);
+  }
 };
 
-template <auto... Path>
-json::Value ofResult(const CsvRow& row) {
-  return encodeValue(At<Path...>::in(row.result));
-}
 template <auto... Path>
 json::Value ofCell(const CsvRow& row) {
   return encodeValue(At<Path...>::in(row.cell));
@@ -272,40 +287,34 @@ json::Value ofRun(const CsvRow& row) {
 using Cell = CellAggregate;
 using Messages = core::MessageMetrics;
 
-constexpr Column kCellsCsv[] = {
-    {"sweep", ofResult<&SweepResult::name>},
-    {"protocol", ofResult<&SweepResult::protocol>},
-    {"workload", ofCell<&Cell::workload>},
-    {"topology", ofCell<&Cell::topology>},
-    {"scheduler", ofCell<&Cell::scheduler>},
-    {"k", ofCell<&Cell::k>},
-    {"mac", ofCell<&Cell::mac>},
-    {"dynamics", ofCell<&Cell::dynamics>},
-    {"reaction", ofCell<&Cell::reaction>},
-    {"seed_begin", ofResult<&SweepResult::seedBegin>},
-    {"seed_end", ofResult<&SweepResult::seedEnd>},
-    {"runs", ofCell<&Cell::runs>},
-    {"solved", ofCell<&Cell::solved>},
-    {"errors", ofCell<&Cell::errors>},
-    {"min_solve", ofCell<&Cell::minSolve>},
-    {"median_solve", ofCell<&Cell::medianSolve>},
-    {"mean_solve", ofCell<&Cell::meanSolve>},
-    {"p95_solve", ofCell<&Cell::p95Solve>},
-    {"max_solve", ofCell<&Cell::maxSolve>},
-    {"mean_end_time", ofCell<&Cell::meanEndTime>},
-    {"messages", ofCell<&Cell::messages>},
-    {"mean_latency", ofCell<&Cell::meanLatency>},
-    {"p50_latency", ofCell<&Cell::p50Latency>},
-    {"p95_latency", ofCell<&Cell::p95Latency>},
-    {"max_latency", ofCell<&Cell::maxLatency>},
-    {nullptr, nullptr, Column::kStats},
-    {"retransmits", ofCell<&Cell::retransmits>},
-    {"checked_runs", ofCell<&Cell::checkedRuns>},
-    {"check_violations", ofCell<&Cell::checkViolations>},
-    {"realization", ofResult<&SweepResult::realization>},
-    {"measured_runs", ofCell<&Cell::measuredRuns>, Column::kRealized},
-    {"backend", ofResult<&SweepResult::backend>},
-};
+/// The cells CSV columns: every result and cell row with a csvAt()
+/// position, in position order (positions run 1..N without gaps).
+const std::vector<Column>& cellsCsv() {
+  static const std::vector<Column> columns = [] {
+    std::vector<std::pair<int, Column>> placed;
+    for (const Field<SweepResult>& f : kResultFields) {
+      if (f.csvPos == 0) continue;
+      placed.push_back({f.csvPos, {f.key, nullptr, Column::kOne, &f}});
+    }
+    for (const Field<CellAggregate>& f : kCellFields) {
+      if (f.csvPos == 0) continue;
+      const std::string key = f.key;
+      const Column::Block block = key == "stats"           ? Column::kStats
+                                  : key == "measured_runs" ? Column::kRealized
+                                                           : Column::kOne;
+      placed.push_back({f.csvPos, {f.key, nullptr, block, nullptr, &f}});
+    }
+    std::sort(placed.begin(), placed.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<Column> out;
+    for (const auto& [pos, column] : placed) {
+      AMMB_ASSERT(pos == static_cast<int>(out.size()) + 1);
+      out.push_back(column);
+    }
+    return out;
+  }();
+  return columns;
+}
 
 constexpr Column kRunsCsv[] = {
     {"run_index", ofRun<&RunRecord::point, &RunPoint::runIndex>},
@@ -354,8 +363,8 @@ constexpr Column kRunsCsv[] = {
 };
 
 /// Writes the header line (row == nullptr) or one row of `columns`.
-template <std::size_t N>
-void writeCsvLine(const Column (&columns)[N], const CsvRow* row,
+template <class Columns>
+void writeCsvLine(const Columns& columns, const CsvRow* row,
                   std::ostream& out) {
   const char* sep = "";
   const auto put = [&](const char* header, const auto& value) {
@@ -372,7 +381,7 @@ void writeCsvLine(const Column (&columns)[N], const CsvRow* row,
       continue;
     }
     if (col.block == Column::kOne) {
-      put(col.header, [&] { return col.value(*row); });
+      put(col.header, [&] { return col.at(*row); });
       continue;
     }
     const phys::RealizedBounds* bounds =
@@ -381,7 +390,7 @@ void writeCsvLine(const Column (&columns)[N], const CsvRow* row,
                                              : &row->cell.realized;
     const bool shown = bounds != nullptr && bounds->measured();
     put(col.header,
-        [&] { return shown ? col.value(*row) : json::Value(); });
+        [&] { return shown ? col.at(*row) : json::Value(); });
     for (const auto& f : kRealizedFields) {
       if (f.csvName == nullptr) continue;
       put(f.csvName, [&] { return shown ? f.get(*bounds) : json::Value(); });
@@ -393,10 +402,10 @@ void writeCsvLine(const Column (&columns)[N], const CsvRow* row,
 }  // namespace
 
 void emitCellsCsv(const SweepResult& result, std::ostream& out) {
-  writeCsvLine(kCellsCsv, nullptr, out);
+  writeCsvLine(cellsCsv(), nullptr, out);
   for (const CellAggregate& cell : result.cells) {
     const CsvRow row{result, cell, nullptr};
-    writeCsvLine(kCellsCsv, &row, out);
+    writeCsvLine(cellsCsv(), &row, out);
   }
 }
 

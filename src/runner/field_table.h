@@ -251,6 +251,9 @@ struct Field {
   void (*combine)(T& into, const T& from, Fold fold) = nullptr;
   /// Header of the field's CSV column, where it has one.
   const char* csvName = nullptr;
+  /// 1-based position of the field's column in its document's CSV
+  /// (the cells CSV for result and cell rows); 0: not a column.
+  int csvPos = 0;
 
   constexpr Field opt() const {
     Field f = *this;
@@ -270,6 +273,11 @@ struct Field {
   constexpr Field csvAs(const char* header) const {
     Field f = *this;
     f.csvName = header;
+    return f;
+  }
+  constexpr Field csvAt(int pos) const {
+    Field f = *this;
+    f.csvPos = pos;
     return f;
   }
 };

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "core/msg_set.h"
 #include "graph/generators.h"
 #include "mac/trace_checker.h"
 
@@ -115,6 +116,23 @@ TEST(Bmmb, DuplicateSuppression) {
     EXPECT_EQ(experiment.bmmbSuite().process(v).received().size(), 3u);
     EXPECT_EQ(experiment.bmmbSuite().process(v).sent().size(), 3u);
   }
+}
+
+TEST(Bmmb, MsgSetHoldsDenseAndSparseIds) {
+  core::MsgSet set;
+  const MsgId big = core::MsgSet::kDenseLimit + 5;
+  for (MsgId m : {big, MsgId{3}, MsgId{64}, big + 1000, MsgId{0}}) {
+    EXPECT_TRUE(set.insert(m)) << m;
+  }
+  EXPECT_FALSE(set.insert(64));
+  EXPECT_FALSE(set.insert(big));
+  EXPECT_EQ(set.size(), 5u);
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_TRUE(set.contains(big + 1000));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_FALSE(set.contains(big + 1));
+  EXPECT_FALSE(set.contains(core::MsgSet::kDenseLimit - 1));
+  EXPECT_EQ(set.sorted(), (std::vector<MsgId>{0, 3, 64, big, big + 1000}));
 }
 
 TEST(Bmmb, MultipleMessagesAtOneNodeKeepFifoOrder) {

@@ -137,10 +137,10 @@ TEST(LowerBound, NetworkCExecutionUsesUselessCrossDeliveries) {
   ASSERT_TRUE(experiment.run().solved);
   // Count deliveries over unreliable edges: the schedule lives on them.
   std::size_t cross = 0;
-  for (const auto& inst : experiment.engine().instances()) {
-    for (NodeId r : inst.deliveredTo) {
-      if (topo.isUnreliableOnlyEdge(inst.sender, r)) ++cross;
-    }
+  for (const auto& rec : experiment.trace().records()) {
+    if (rec.kind != sim::TraceKind::kRcv) continue;
+    const NodeId sender = experiment.engine().instance(rec.instance).sender;
+    if (topo.isUnreliableOnlyEdge(sender, rec.node)) ++cross;
   }
   EXPECT_GE(cross, static_cast<std::size_t>(D));
 }

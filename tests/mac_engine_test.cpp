@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/experiment.h"
 #include "graph/generators.h"
 #include "mac/engine.h"
 #include "mac/schedulers.h"
@@ -236,8 +237,7 @@ TEST(MacEngine, ProgressGuardForcesDeliveryUnderAdversary) {
                    1);
   engine.run();
   EXPECT_EQ(engine.stats().forcedRcvs, 1u);
-  const auto& inst = engine.instance(0);
-  ASSERT_EQ(inst.deliveredTo.size(), 1u);
+  ASSERT_EQ(testutil::rcvReceivers(engine.trace(), 0).size(), 1u);
   // Forced at the progress deadline: bcast(0) + fprog.
   const auto& recs = engine.trace().records();
   for (const auto& rec : recs) {
@@ -404,8 +404,7 @@ TEST(MacEngine, UnreliableDeliveryReachesGPrimeOnlyNeighbors) {
                    },
                    1);
   engine.run();
-  const auto& inst = engine.instance(0);
-  EXPECT_EQ(inst.deliveredTo.size(),
+  EXPECT_EQ(testutil::rcvReceivers(engine.trace(), 0).size(),
             topo.gPrime().neighbors(0).size());
 }
 
@@ -484,7 +483,7 @@ TEST(MacEngine, EpochScrubCancelsOnlyVanishedLinkDeliveries) {
   std::sort(receivers.begin(), receivers.end());
   EXPECT_EQ(receivers, (std::vector<NodeId>{1, 3, 5}));
   EXPECT_EQ(engine.stats().acks, 1u);
-  EXPECT_TRUE(engine.instance(0).pending.empty());
+  EXPECT_TRUE(engine.isTombstone(0));  // nothing left pending
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
 }
 
@@ -525,7 +524,7 @@ TEST(MacEngine, EpochScrubCancelsAbortGraceDeliveries) {
   dropped.run();
   EXPECT_EQ(dropped.stats().aborts, 1u);
   EXPECT_EQ(dropped.stats().rcvs, 0u);
-  EXPECT_TRUE(dropped.instance(0).pending.empty());
+  EXPECT_TRUE(dropped.isTombstone(0));  // nothing left pending
   EXPECT_TRUE(checkTrace(view, dropped.params(), dropped.trace()).ok);
 }
 
@@ -558,6 +557,223 @@ TEST(MacEngine, EnginesSharingOneViewAgreeThroughTheLayerSeam) {
   EXPECT_EQ(direct.stats().rcvs, seam.stats().rcvs);
   EXPECT_EQ(direct.stats().forcedRcvs, seam.stats().forcedRcvs);
   EXPECT_EQ(direct.now(), seam.now());
+}
+
+// --- instance lifecycle ------------------------------------------------------
+
+// Regression: the Packet& handed to onReceive / onAck stays valid when
+// the callback bcasts.  Node 1's echo is the engine's second instance
+// and node 0's re-send from onAck its third, so each grows the
+// instance storage exactly while a packet is on loan to a callback;
+// storage that moved its elements would leave `packet` dangling (a
+// heap-use-after-free under ASan).
+TEST(MacEngine, CallbackPacketSurvivesReentrantBcast) {
+  struct Seen {
+    PacketKind kind;
+    NodeId sender;
+    std::uint64_t bits;
+    std::vector<MsgId> msgs;
+  };
+  class Echo : public Process {
+   public:
+    explicit Echo(std::vector<Seen>& seen) : seen_(seen) {}
+    void onWake(Context& ctx) override {
+      if (ctx.id() != 0) return;
+      Packet p;
+      p.kind = PacketKind::kCustom;
+      p.bits = 0xC0FFEE;
+      p.msgs = {7, 9};
+      ctx.bcast(std::move(p));
+    }
+    void onReceive(Context& ctx, const Packet& packet) override {
+      if (ctx.id() != 1 || done_) return;
+      done_ = true;
+      ctx.bcast(Packet{});
+      seen_.push_back({packet.kind, packet.sender, packet.bits, packet.msgs});
+    }
+    void onAck(Context& ctx, const Packet& packet) override {
+      if (ctx.id() != 0 || done_) return;
+      done_ = true;
+      ctx.bcast(Packet{});
+      seen_.push_back({packet.kind, packet.sender, packet.bits, packet.msgs});
+    }
+
+   private:
+    std::vector<Seen>& seen_;
+    bool done_ = false;
+  };
+  std::vector<Seen> seen;
+  MacParams params = stdParams();
+  params.msgCapacity = 2;
+  const auto topo = gen::identityDual(gen::line(2));
+  const graph::TopologyView view(topo);
+  MacEngine engine(view, params, std::make_unique<FastScheduler>(),
+                   [&seen](NodeId) { return std::make_unique<Echo>(seen); },
+                   1);
+  engine.run();
+  EXPECT_EQ(engine.instances().size(), 3u);
+  ASSERT_EQ(seen.size(), 2u);  // node 1's rcv, then node 0's ack
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.kind, PacketKind::kCustom);
+    EXPECT_EQ(s.sender, 0);
+    EXPECT_EQ(s.bits, 0xC0FFEEu);
+    EXPECT_EQ(s.msgs, (std::vector<MsgId>{7, 9}));
+  }
+}
+
+/// Plans each bcast's deliveries at fixed offsets from the bcast, with
+/// the ack at Fack.
+class FixedPlanScheduler : public Scheduler {
+ public:
+  explicit FixedPlanScheduler(std::vector<PlannedDelivery> offsets)
+      : offsets_(std::move(offsets)) {}
+  DeliveryPlan planBcast(const Instance& inst) override {
+    DeliveryPlan plan;
+    plan.ackAt = inst.bcastAt + engine_->params().fack;
+    for (PlannedDelivery d : offsets_) {
+      d.at += inst.bcastAt;
+      plan.deliveries.push_back(d);
+    }
+    return plan;
+  }
+
+ private:
+  std::vector<PlannedDelivery> offsets_;
+};
+
+/// Node 0 broadcasts at t = 0 and aborts at t = 2.
+class AbortAtTwo : public Process {
+ public:
+  void onWake(Context& ctx) override {
+    if (ctx.id() != 0) return;
+    ctx.bcast(Packet{});
+    ctx.setTimerAfter(2);
+  }
+  void onTimer(Context& ctx, TimerId) override {
+    if (ctx.busy()) ctx.abortBcast();
+  }
+};
+
+// An abort drops the deliveries planned past now + epsAbort at once;
+// the ones inside the grace window stay pending and still fire, and
+// the instance becomes a tombstone only after the last of them.
+TEST(MacEngine, AbortKeepsGraceDeliveriesAndDropsLaterOnes) {
+  MacParams params = enhParams(4, 32);
+  params.epsAbort = 4;  // abort at 2: grace through t = 6
+  const auto topo = gen::identityDual(gen::star(3));
+  const graph::TopologyView view(topo);
+  MacEngine engine(
+      view, params,
+      std::make_unique<FixedPlanScheduler>(
+          std::vector<PlannedDelivery>{{1, 3}, {2, 20}}),
+      [](NodeId) { return std::make_unique<AbortAtTwo>(); }, 1);
+
+  engine.run(/*timeLimit=*/2);
+  EXPECT_EQ(engine.stats().aborts, 1u);
+  ASSERT_FALSE(engine.isTombstone(0));  // grace: a delivery is pending
+  const Instance& grace = engine.body(0);
+  EXPECT_TRUE(grace.terminated);
+  ASSERT_EQ(grace.pending.size(), 1u);
+  EXPECT_EQ(grace.pending.front().target, 1);
+  EXPECT_EQ(grace.pending.front().at, 3);
+
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(testutil::rcvReceivers(engine.trace(), 0),
+            (std::vector<NodeId>{1}));
+  for (const auto& rec : engine.trace().records()) {
+    if (rec.kind == sim::TraceKind::kRcv) {
+      EXPECT_EQ(rec.t, 3);
+    }
+  }
+  EXPECT_TRUE(engine.isTombstone(0));
+  EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
+}
+
+// A tombstone's body is gone, but its record still answers sender,
+// bcast and termination for post-run readers.
+TEST(MacEngine, TombstoneKeepsItsRecord) {
+  MacParams params = enhParams(4, 32);
+  params.epsAbort = 4;
+  const auto topo = gen::identityDual(gen::star(3));
+  const graph::TopologyView view(topo);
+  MacEngine aborted(
+      view, params,
+      std::make_unique<FixedPlanScheduler>(
+          std::vector<PlannedDelivery>{{1, 3}, {2, 20}}),
+      [](NodeId) { return std::make_unique<AbortAtTwo>(); }, 1);
+  aborted.run();
+  ASSERT_TRUE(aborted.isTombstone(0));
+  EXPECT_THROW(aborted.body(0), Error);
+  const InstanceRecord& a = aborted.instance(0);
+  EXPECT_EQ(a.sender, 0);
+  EXPECT_EQ(a.bcastAt, 0);
+  EXPECT_EQ(a.termAt, 2);
+  EXPECT_TRUE(a.aborted);
+
+  MacEngine acked(view, stdParams(), std::make_unique<SlowAckScheduler>(),
+                  [](NodeId node) -> std::unique_ptr<Process> {
+                    if (node == 2) return std::make_unique<ChainSender>(3);
+                    return std::make_unique<Idle>();
+                  },
+                  1);
+  acked.run();
+  ASSERT_EQ(acked.instances().size(), 3u);
+  for (InstanceId id : {0, 1, 2}) {
+    EXPECT_TRUE(acked.isTombstone(id));
+    const InstanceRecord& r = acked.instance(id);
+    EXPECT_EQ(r.sender, 2);
+    EXPECT_EQ(r.bcastAt, id * 32);
+    EXPECT_EQ(r.termAt, (id + 1) * 32);
+    EXPECT_FALSE(r.aborted);
+  }
+  // Each bcast from the ack callback overlaps the instance it replaces
+  // (that body is retired once the callback returns), so two bodies
+  // serve all three instances: the third reuses the first one's slot.
+  EXPECT_EQ(acked.bodyPoolHighWater(), 2u);
+}
+
+// The engine holds bodies for live and grace instances only.  On a
+// 1,000-node grey field the pool never outgrows the largest number of
+// instances whose [bcast, termination] span covers one tick — a bound
+// that does not grow with the run's total instance count.
+TEST(MacEngine, BodyPoolStaysWithinPeakLiveInstances) {
+  const NodeId n = 1000;
+  const int k = 8;
+  Rng rng(2234);
+  const auto topo = gen::greyZoneField(n, 13.0, 1.5, 0.3, rng);
+  core::MmbWorkload workload;
+  workload.k = k;
+  for (int i = 0; i < k; ++i) {
+    workload.arrivals.push_back({static_cast<NodeId>(i * n / k),
+                                 static_cast<MsgId>(i), 0});
+  }
+  core::RunConfig config;
+  config.mac = stdParams(4, 32);
+  config.scheduler = core::SchedulerKind::kRandom;
+  core::Experiment experiment(topo, core::bmmbProtocol(), workload, config);
+  ASSERT_TRUE(experiment.run().solved);
+  const MacEngine& engine = experiment.engine();
+
+  // Sweep the closed spans; a span ending at t is counted at t, so a
+  // bcast made from the ack callback of the instance it replaces
+  // overlaps it.  Instances still live at the end never close.
+  std::vector<std::pair<Time, int>> edges;
+  for (const InstanceRecord& r : engine.instances()) {
+    edges.emplace_back(r.bcastAt, +1);
+    if (r.termAt != kTimeNever) edges.emplace_back(r.termAt + 1, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  int open = 0;
+  int peak = 0;
+  for (const auto& edge : edges) {
+    open += edge.second;
+    peak = std::max(peak, open);
+  }
+  EXPECT_LE(engine.bodyPoolHighWater(), static_cast<std::size_t>(peak));
+  // A node has at most one live instance, plus the one whose ack
+  // callback is running; the run creates several times that many.
+  EXPECT_LE(engine.bodyPoolHighWater(), static_cast<std::size_t>(n) + 1);
+  EXPECT_LT(engine.bodyPoolHighWater() * 4, engine.instances().size());
 }
 
 }  // namespace
